@@ -49,8 +49,7 @@ def _load_any_complex(args):
     if getattr(args, "complex", None):
         return load_complex(args.complex)
     if getattr(args, "generators", None):
-        gens = [face(int(v) for v in chunk.split(",") if v.strip())
-                for chunk in args.generators.split(";")]
+        gens = [face(_int_list(chunk)) for chunk in args.generators.split(";")]
         return shifted_from_generators(gens, args.min_vertex)
     raise InputError("provide --complex FILE or --generators LIST")
 

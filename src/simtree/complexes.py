@@ -3,6 +3,11 @@
 Faces are strictly increasing tuples of positive integers; the empty face () is
 always stored, so chain groups include C_{-1} and homology is reduced. Complexes
 are immutable: every construction returns a new object.
+
+A boundary matrix is stored as its column supports: column F holds the k+1
+pairs (row index, sign) of the facets of F. Because a complex never changes,
+its boundary matrices and derived invariants (such as boundary ranks) are
+memoised on the complex itself and live exactly as long as it does.
 """
 
 from __future__ import annotations
@@ -18,10 +23,15 @@ Face = tuple  # tuple[int, ...], strictly increasing
 
 def face(vertices) -> Face:
     """Normalize an iterable of vertices into a face tuple."""
-    vs = tuple(sorted(vertices))
+    try:
+        vs = tuple(vertices)
+    except TypeError:
+        raise InputError(f"a face must be a list of vertices, got {vertices!r}") from None
     for v in vs:
-        if not isinstance(v, int) or v < 1:
+        # bool is an int subclass: true/false in JSON must not become vertex 1/0
+        if type(v) is not int or v < 1:
             raise InputError(f"vertices must be positive integers, got {v!r}")
+    vs = tuple(sorted(vs))
     if any(vs[i] == vs[i + 1] for i in range(len(vs) - 1)):
         raise InputError(f"duplicate vertex in face {vertices!r}")
     return vs
@@ -51,7 +61,7 @@ class BoundaryMatrix:
 
     rows: tuple
     cols: tuple
-    entries: tuple  # row-major tuple of tuples, values in {-1, 0, +1}
+    supports: tuple  # per column, its nonzeros as ((row index, +1 or -1), ...)
 
     @property
     def n_rows(self):
@@ -62,13 +72,18 @@ class BoundaryMatrix:
         return len(self.cols)
 
     def as_lists(self):
-        return [list(r) for r in self.entries]
+        """The dense row-major matrix, a fresh list of lists."""
+        dense = [[0] * len(self.cols) for _ in self.rows]
+        for j, col in enumerate(self.supports):
+            for i, s in col:
+                dense[i][j] = s
+        return dense
 
 
 class SimplicialComplex:
     """A finite simplicial complex, stored as the full downward-closed face set."""
 
-    __slots__ = ("_by_dim", "_faces", "_vertices", "_hash")
+    __slots__ = ("_by_dim", "_faces", "_vertices", "_hash", "_memo")
 
     def __init__(self, faces):
         face_set = set(faces)
@@ -88,6 +103,7 @@ class SimplicialComplex:
         verts = sorted({v for F in face_set for v in F})
         object.__setattr__(self, "_vertices", tuple(verts))
         object.__setattr__(self, "_hash", hash(self._faces))
+        object.__setattr__(self, "_memo", {})
 
     # -- construction -------------------------------------------------
 
@@ -166,11 +182,21 @@ class SimplicialComplex:
         tops = ",".join(face_label(F) for F in self.facets())
         return f"SimplicialComplex<{tops}>"
 
+    def memo(self, key, compute):
+        """compute(), evaluated once per complex and key."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
     # -- constructions -------------------------------------------------
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         if i < -1 or i > self.dim:
             raise InputError(f"skeleton dimension {i} out of range [-1, {self.dim}]")
+        if i == self.dim:
+            return self
         return SimplicialComplex(F for F in self._faces if len(F) - 1 <= i)
 
     def pure_skeleton(self, i: int) -> "SimplicialComplex":
@@ -208,16 +234,16 @@ class SimplicialComplex:
         """The signed boundary map C_k -> C_{k-1}; k may be dim+1 (zero columns)."""
         if k < 0 or k > self.dim + 1:
             raise InputError(f"boundary dimension {k} out of range [0, {self.dim}]")
+        return self.memo(("boundary", k), lambda: self._boundary(k))
+
+    def _boundary(self, k: int) -> BoundaryMatrix:
         rows = self._by_dim.get(k - 1, ())
         cols = self._by_dim.get(k, ())
         row_index = {F: i for i, F in enumerate(rows)}
-        entries = [[0] * len(cols) for _ in rows]
-        for j, F in enumerate(cols):
-            for pos, v in enumerate(F):
-                G = F[:pos] + F[pos + 1:]
-                entries[row_index[G]][j] = -1 if pos % 2 else 1
-        return BoundaryMatrix(rows=tuple(rows), cols=tuple(cols),
-                              entries=tuple(tuple(r) for r in entries))
+        signs = [-1 if pos % 2 else 1 for pos in range(k + 1)]
+        supports = tuple([tuple([(row_index[F[:pos] + F[pos + 1:]], signs[pos])
+                                 for pos in range(k + 1)]) for F in cols])
+        return BoundaryMatrix(rows=rows, cols=cols, supports=supports)
 
     # -- degrees --------------------------------------------------------
 
@@ -257,10 +283,6 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     return True
 
 
-def componentwise_leq(A, B) -> bool:
-    return len(A) == len(B) and all(a <= b for a, b in zip(A, B))
-
-
 def _ideal_below(gen: Face, p: int):
     """All strictly increasing tuples componentwise <= gen with entries >= p."""
 
@@ -295,12 +317,23 @@ def complex_to_json_dict(cx: SimplicialComplex) -> dict:
     return {"facets": [list(F) for F in cx.facets() if F]}
 
 
+def _json_faces(data: dict, key: str) -> list:
+    faces = data[key]
+    if not isinstance(faces, (list, tuple)):
+        raise InputError(f"'{key}' must be a list of vertex lists")
+    return [face(f_) for f_ in faces]
+
+
 def complex_from_json_dict(data: dict) -> SimplicialComplex:
+    if not isinstance(data, dict):
+        raise InputError("complex JSON must be an object")
     if "facets" in data:
-        return SimplicialComplex.from_facets([face(f_) for f_ in data["facets"]])
+        return SimplicialComplex.from_facets(_json_faces(data, "facets"))
     if "shifted_generators" in data:
         p = data.get("min_vertex", 1)
-        return shifted_from_generators([face(g) for g in data["shifted_generators"]], p)
+        if type(p) is not int or p < 1:
+            raise InputError(f"min_vertex must be a positive integer, got {p!r}")
+        return shifted_from_generators(_json_faces(data, "shifted_generators"), p)
     raise InputError("complex JSON needs a 'facets' or 'shifted_generators' key")
 
 

@@ -1,9 +1,18 @@
 """Arbitrary-precision integer matrix kernels.
 
 Matrices are plain lists of lists of Python ints (or Fractions where stated);
-everything is exact. Algorithms: fraction-free Bareiss elimination for
-determinants and ranks, elimination-with-minimal-pivot Smith normal form, and
-Faddeev-LeVerrier for characteristic polynomials with integrality asserts.
+everything is exact. Algorithms:
+
+- rank and kernel basis from one fraction-free echelon routine (rows kept
+  primitive; no Fractions are built);
+- determinants by fraction-free Bareiss elimination;
+- Smith normal form by elimination with a minimal pivot, skipping the
+  divisibility scan whenever the pivot is a unit;
+- characteristic polynomials by Faddeev-LeVerrier, multiplying by the
+  nonzeros of the matrix only, with an integrality check at every step.
+
+Broken exactness invariants raise ExactnessError (never a bare assert, which
+python -O would strip).
 """
 
 from __future__ import annotations
@@ -16,19 +25,14 @@ from .complexes import SimplicialComplex
 from .errors import ExactnessError, InputError
 
 
+def _require(cond, message: str) -> None:
+    """Raise ExactnessError unless an exactness invariant holds."""
+    if not cond:
+        raise ExactnessError(message)
+
+
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def mat_sub_scaled_identity(A, lam):
@@ -87,93 +91,73 @@ def fraction_det(M) -> Fraction:
     return Fraction(bareiss_det(rows), 1) / scale
 
 
-def rank(M) -> int:
-    """Rank over Q via fraction-free elimination."""
-    if not M or not M[0]:
-        return 0
+def _primitive(row):
+    """The row divided by the gcd of its entries (unchanged if that is 0 or 1)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon(M, reduced: bool):
+    """Fraction-free row echelon form of an integer matrix, as (rows, pivot
+    columns). Every row stays an integer row divided by its content. With
+    reduced=True each pivot column is also cleared above its pivot, so row i
+    reads p_i * x[pivots[i]] + (free columns) = 0 with p_i != 0."""
     A = [list(r) for r in M]
-    m, n = len(A), len(A[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        prc = A[r][c]
-        for i in range(r + 1, m):
-            aic = A[i][c]
-            if aic == 0:
-                continue
-            Ai, Ar = A[i], A[r]
-            for j in range(c, n):
-                Ai[j] = prc * Ai[j] - aic * Ar[j]
-            g = 0
-            for x in Ai:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                A[i] = [x // g for x in Ai]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def kernel_basis(M, n_cols=None):
-    """Primitive integer basis vectors v with M @ v = 0 (column kernel)."""
-    m = len(M)
-    n = len(M[0]) if M and M[0] else (n_cols if n_cols is not None else 0)
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    A = [[Fraction(x) for x in row] for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pr = A[r]
-        inv = 1 / pr[c]
-        A[r] = pr = [x * inv for x in pr]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], pr)]
-        pivots.append(c)
-        r += 1
         if r == m:
             break
+        for piv in range(r, m):
+            if A[piv][c]:
+                break
+        else:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        Ar = A[r]
+        prc = Ar[c]
+        for i in range(0 if reduced else r + 1, m):
+            Ai = A[i]
+            aic = Ai[c]
+            if aic and i != r:
+                # Ar is zero left of c, so rows below need only columns >= c
+                for j in range(c if i > r else 0, n):
+                    Ai[j] = prc * Ai[j] - aic * Ar[j]
+                A[i] = _primitive(Ai)
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def rank(M) -> int:
+    """Rank over Q via fraction-free elimination."""
+    return len(_echelon(M, reduced=False)[1])
+
+
+def kernel_basis(M, n_cols=None):
+    """Primitive integer basis vectors v with M @ v = 0 (column kernel): one
+    per free column f, supported on f and the pivot columns, with v[f] > 0."""
+    n = len(M[0]) if M and M[0] else (n_cols if n_cols is not None else 0)
+    if n == 0:
+        return []
+    rows, pivots = _echelon(M, reduced=True)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for row_i, c in enumerate(pivots):
-            v[c] = -A[row_i][free]
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        iv = [int(x * lcm) for x in v]
-        g = 0
-        for x in iv:
-            g = gcd(g, x)
-        if g > 1:
-            iv = [x // g for x in iv]
-        basis.append(iv)
+        # x[pivot_i] = -row_i[free] / row_i[pivot_i]; scale by the lcm of the pivots used
+        used = [(row[c], row[free], c) for row, c in zip(rows, pivots) if row[free]]
+        scale = 1
+        for p, _, _ in used:
+            scale = scale * abs(p) // gcd(scale, p)
+        v = [0] * n
+        v[free] = scale
+        for p, a, c in used:
+            v[c] = -a * (scale // p)
+        basis.append(_primitive(v))
     return basis
 
 
@@ -221,9 +205,9 @@ def smith_normal_form(M) -> list:
             repeat = False
             for j in range(t + 1, n):
                 if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
+                    # column t is zero below the pivot, so this column
+                    # operation changes row t only
+                    A[t][j] -= A[t][j] // A[t][t] * A[t][t]
                     if A[t][j] != 0:
                         for row in A:
                             row[t], row[j] = row[j], row[t]
@@ -231,8 +215,11 @@ def smith_normal_form(M) -> list:
                         break
             if repeat:
                 continue
-            # enforce divisibility of the remaining block by the pivot
+            # enforce divisibility of the remaining block by the pivot; a
+            # unit pivot divides everything
             piv = A[t][t]
+            if piv in (1, -1):
+                break
             culprit = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -248,40 +235,34 @@ def smith_normal_form(M) -> list:
         t += 1
         if t == m or t == n:
             break
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "SNF divisibility broken"
+    _require(all(b % a == 0 for a, b in zip(factors, factors[1:])), "SNF divisibility broken")
     return factors
 
 
 def char_poly(M) -> list:
-    """Coefficients [c_0, ..., c_n] of det(yI - M), ascending, exact integers."""
+    """Coefficients [c_0, ..., c_n] of det(yI - M), ascending, exact integers.
+
+    Faddeev-LeVerrier: B_0 = I and B_k = M B_{k-1} + c_{n-k} I. Row i of
+    M B_{k-1} is the sum of M[i][j] * (row j of B_{k-1}) over the nonzeros of
+    row i of M, so a step costs n per nonzero of M.
+    """
     n = len(M)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in M]
     B = identity_matrix(n)
     for k in range(1, n + 1):
-        B = mat_mul(M, B)
+        prev = B
+        B = []
+        for row in nonzeros:
+            acc = [0] * n
+            for j, x in row:
+                acc = [a + x * b for a, b in zip(acc, prev[j])]
+            B.append(acc)
         tr = sum(B[i][i] for i in range(n))
         if tr % k != 0:
             raise ExactnessError("Faddeev-LeVerrier trace not divisible")
         c = -(tr // k)
-        coeffs[n - k] = c
-        for i in range(n):
-            B[i][i] += c
-    return coeffs
-
-
-def char_poly_fraction(M) -> list:
-    """Faddeev-LeVerrier over exact rationals; returns ascending Fractions."""
-    n = len(M)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    A = [[Fraction(x) for x in row] for row in M]
-    B = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        B = mat_mul(A, B)
-        tr = sum(B[i][i] for i in range(n))
-        c = -tr / k
         coeffs[n - k] = c
         for i in range(n):
             B[i][i] += c
@@ -293,7 +274,7 @@ def nonzero_eigenvalue_product(M) -> int:
     n = len(M)
     r = rank(M)
     c = char_poly(M)[n - r]
-    assert c != 0, "rank disagrees with characteristic polynomial"
+    _require(c != 0, "rank disagrees with characteristic polynomial")
     return abs(c)
 
 
@@ -344,25 +325,25 @@ class HomologySummary:
         return {"betti": self.betti, "torsion_order": self.torsion_order}
 
 
-def _boundary_rank(cx: SimplicialComplex, k: int) -> int:
+def boundary_rank(cx: SimplicialComplex, k: int) -> int:
+    """rank bd_k (0 outside [0, dim]), memoised on the complex."""
     if k < 0 or k > cx.dim:
         return 0
-    return rank(cx.boundary_matrix(k).as_lists())
+    return cx.memo(("rank", k), lambda: rank(cx.boundary_matrix(k).as_lists()))
 
 
 def homology(cx: SimplicialComplex, i: int) -> HomologySummary:
     """Reduced integral homology H~_i as Betti number + torsion order."""
     if i < -1 or i > cx.dim:
         raise InputError(f"homology dimension {i} out of range [-1, {cx.dim}]")
-    ker_dim = cx.f(i) - _boundary_rank(cx, i)
+    ker_dim = cx.f(i) - boundary_rank(cx, i)
     if i + 1 > cx.dim:
         rank_next = 0
         torsion = 1
     else:
-        bd = cx.boundary_matrix(i + 1).as_lists()
-        rank_next = rank(bd)
+        rank_next = boundary_rank(cx, i + 1)
         torsion = 1
-        for d in smith_normal_form(bd):
+        for d in smith_normal_form(cx.boundary_matrix(i + 1).as_lists()):
             if d > 1:
                 torsion *= d
     return HomologySummary(dimension=i, betti=ker_dim - rank_next, torsion_order=torsion)
@@ -372,8 +353,8 @@ def betti(cx: SimplicialComplex, i: int) -> int:
     """Rational reduced Betti number (no SNF needed)."""
     if i < -1 or i > cx.dim:
         return 0
-    ker_dim = cx.f(i) - _boundary_rank(cx, i)
-    return ker_dim - (_boundary_rank(cx, i + 1) if i + 1 <= cx.dim else 0)
+    ker_dim = cx.f(i) - boundary_rank(cx, i)
+    return ker_dim - (boundary_rank(cx, i + 1) if i + 1 <= cx.dim else 0)
 
 
 def is_apc(cx: SimplicialComplex) -> bool:

@@ -236,8 +236,7 @@ def hear_shape(spectra: dict, validate: bool = True) -> SimplicialComplex:
     faces = set()
     for S, T in all_pairs:
         sig = tuple(sorted(S + (T[-1],)))
-        for idx_face in _ideal_members(sig, p):
-            faces.add(idx_face)
+        faces.update(_ideal_below(sig, p))
     cx = SimplicialComplex.closure(faces)
     if validate:
         for i, pairs in pairs_by_dim.items():
@@ -246,10 +245,6 @@ def hear_shape(spectra: dict, validate: bool = True) -> SimplicialComplex:
             if got != pairs:
                 raise DomainError(f"spectra do not arise from a shifted complex (dim {i})")
     return cx
-
-
-def _ideal_members(sig: tuple, p: int):
-    yield from _ideal_below(sig, p)
 
 
 # -- closed-form enumerators ----------------------------------------------------

@@ -17,8 +17,10 @@ from .complexes import SimplicialComplex
 from .errors import DomainError, InputError, ResourceLimitError
 from .exactlinalg import (
     HomologySummary,
+    _require,
     bareiss_det,
     betti,
+    boundary_rank,
     homology,
     is_apc,
     kernel_basis,
@@ -52,13 +54,16 @@ class TreeCount:
 
 
 def up_down_laplacian(cx: SimplicialComplex, k: int):
-    """L = bd_k bd_k^T acting on C_{k-1} (an f_{k-1} x f_{k-1} integer matrix)."""
-    bd = cx.boundary_matrix(k).as_lists()
-    n = len(bd)
-    if n == 0:
-        return []
-    m = len(bd[0])
-    return [[sum(bd[i][t] * bd[j][t] for t in range(m)) for j in range(n)] for i in range(n)]
+    """L = bd_k bd_k^T acting on C_{k-1} (an f_{k-1} x f_{k-1} integer matrix),
+    summed as the outer products of the boundary columns' supports."""
+    bd = cx.boundary_matrix(k)
+    L = [[0] * bd.n_rows for _ in bd.rows]
+    for col in bd.supports:
+        for i, s in col:
+            Li = L[i]
+            for j, t in col:
+                Li[j] += s * t
+    return L
 
 
 def star_ridges(cx: SimplicialComplex, k: int, p: int) -> tuple:
@@ -87,11 +92,11 @@ def is_sst(cx: SimplicialComplex, k: int, facet_set) -> SstResult:
     sub = _submatrix_columns(bd, [index[F] for F in T])
     r = rank(sub)
     acyclic = (len(T) - r) == 0
-    ker_below = amb.f(k - 1) - (rank(amb.boundary_matrix(k - 1).as_lists()) if k >= 1 else 0)
+    ker_below = amb.f(k - 1) - boundary_rank(amb, k - 1)
     finite_below = (ker_below - r) == 0
     count_ok = len(T) == _tree_size(amb, k)
     conds = (acyclic, finite_below, count_ok)
-    assert sum(conds) != 2, "two-out-of-three violated"
+    _require(sum(conds) != 2, "two-out-of-three violated")
     cert = None
     if all(conds):
         torsion = 1
@@ -198,7 +203,7 @@ def find_sst(cx: SimplicialComplex, k: int) -> tuple:
         victim = max(eligible, key=lambda j: kfaces[j])
         chosen.remove(victim)
     tree = tuple(kfaces[j] for j in chosen)
-    assert is_sst(amb, k, tree).is_tree
+    _require(is_sst(amb, k, tree).is_tree, "greedy tree is not a spanning tree")
     return tree
 
 
@@ -240,17 +245,18 @@ def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) ->
     if not is_sst(amb, k - 1, U).is_tree:
         raise InputError("the ridge set is not a (k-1)-SST")
     ridges = amb.faces_of_dim(k - 1)
-    assert len(ridges) - len(U) == amb.f(k) - betti(amb, k), "reduced Laplacian has the wrong size"
+    _require(len(ridges) - len(U) == amb.f(k) - betti(amb, k),
+             "reduced Laplacian has the wrong size")
     det = bareiss_det(reduced_laplacian(amb, k, U))
     t_amb = homology(amb, k - 2).group_order() if k >= 1 else 1
     lower = [F for F in amb.all_faces() if len(F) - 1 <= k - 2]
     amb_u = SimplicialComplex(list(U) + lower)
     t_u = homology(amb_u, k - 2).group_order()
-    assert t_amb is not None and t_u is not None
+    _require(t_amb is not None and t_u is not None, "torsion orders must be finite")
     num = t_amb * t_amb * det
-    assert num % (t_u * t_u) == 0, "torsion correction is not integral"
+    _require(num % (t_u * t_u) == 0, "torsion correction is not integral")
     tau = num // (t_u * t_u)
-    assert tau > 0
+    _require(tau > 0, "tree count must be positive")
     return tau
 
 
@@ -283,7 +289,7 @@ def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> 
             num *= pi(cx, j)
         else:
             den *= pi(cx, j)
-    assert num % den == 0, "alternating product is not integral"
+    _require(num % den == 0, "alternating product is not integral")
     return num // den
 
 
@@ -296,7 +302,7 @@ def smtt_identity_report(cx: SimplicialComplex, k: int) -> dict:
     tk = tau_via_reduced_laplacian(cx, k)
     tk1 = tau_via_reduced_laplacian(cx, k - 1) if k >= 1 else 1
     h = homology(amb, k - 2).group_order() if k >= 1 else 1
-    assert h is not None
+    _require(h is not None, "torsion order must be finite")
     return {
         "k": k,
         "pi": pk,

@@ -111,20 +111,6 @@ def zero_symbolic(rows, cols) -> SymbolicMatrix:
                           entries=tuple(tuple(z for _ in cols) for _ in rows))
 
 
-def identity_symbolic(labels, value: LaurentPoly | None = None) -> SymbolicMatrix:
-    one = value if value is not None else LaurentPoly.one()
-    z = LaurentPoly.zero()
-    labels = tuple(labels)
-    return SymbolicMatrix(rows=labels, cols=labels, entries=tuple(
-        tuple(one if i == j else z for j in range(len(labels))) for i in range(len(labels))))
-
-
-def sym_add(A: SymbolicMatrix, B: SymbolicMatrix) -> SymbolicMatrix:
-    assert A.rows == B.rows and A.cols == B.cols
-    return SymbolicMatrix(rows=A.rows, cols=A.cols, entries=tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A.entries, B.entries)))
-
-
 def facet_weight(cx: SimplicialComplex, F, scheme: str, squared: bool = True,
                  raise_by: int = 0) -> LaurentPoly:
     """The monomial attached to facet F under the given scheme (x_F or X_F)."""
@@ -147,15 +133,13 @@ def weighted_boundary(cx: SimplicialComplex, k: int, scheme: str) -> SymbolicMat
     if scheme != "fine" and k != d:
         raise InputError(f"{scheme} weighting is defined at the top dimension only")
     bd = cx.boundary_matrix(k)
-    weights = [facet_weight(cx, F, scheme, squared=False, raise_by=d - k) for F in bd.cols]
-    entries = []
-    for i in range(bd.n_rows):
-        row = []
-        for j in range(bd.n_cols):
-            s = bd.entries[i][j]
-            row.append(weights[j] * s if s else LaurentPoly.zero())
-        entries.append(tuple(row))
-    return SymbolicMatrix(rows=bd.rows, cols=bd.cols, entries=tuple(entries))
+    zero = LaurentPoly.zero()
+    entries = [[zero] * bd.n_cols for _ in bd.rows]
+    for j, (F, support) in enumerate(zip(bd.cols, bd.supports)):
+        weight = facet_weight(cx, F, scheme, squared=False, raise_by=d - k)
+        for i, s in support:
+            entries[i][j] = weight * s
+    return SymbolicMatrix(rows=bd.rows, cols=bd.cols, entries=tuple(map(tuple, entries)))
 
 
 def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMatrix:

@@ -145,3 +145,25 @@ def test_verify_quick(capsys):
     assert code == 0
     assert out.count("[PASS]") == 13
     assert "13/13 criteria passed" in out
+
+
+@pytest.mark.parametrize("text", [
+    '{"facets": 5}',
+    '{"facets": [[1, "2"]]}',
+    '{"facets": [[true, 2]]}',
+    '{"facets": [5]}',
+    '5',
+    '{"shifted_generators": [[2, 3]], "min_vertex": "1"}',
+])
+def test_malformed_complex_json_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "count", "--complex", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_malformed_generators_exit_1(capsys):
+    code, out, err = run(capsys, "count", "--generators", "2,3,x")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")

@@ -139,14 +139,15 @@ def test_boundary_matrix_edge():
     edge = SimplicialComplex.from_facets([[1, 2]])
     bd = edge.boundary_matrix(1)
     assert bd.rows == ((1,), (2,))
-    assert [row[0] for row in bd.entries] == [-1, 1]
+    assert [row[0] for row in bd.as_lists()] == [-1, 1]
 
 
 def test_boundary_matrix_triangle():
     tri = SimplicialComplex.from_facets([[1, 2, 3]])
     bd = tri.boundary_matrix(2)
     assert bd.rows == ((1, 2), (1, 3), (2, 3))
-    assert [row[0] for row in bd.entries] == [1, -1, 1]
+    assert [row[0] for row in bd.as_lists()] == [1, -1, 1]
+    assert bd.supports == (((2, 1), (1, -1), (0, 1)),)  # (row, sign) by deleted position
 
 
 def test_boundary_composition_zero():
@@ -162,7 +163,7 @@ def test_boundary_k0_maps_to_empty_face():
     cx = SimplicialComplex.from_facets([[1, 2]])
     bd = cx.boundary_matrix(0)
     assert bd.rows == ((),)
-    assert bd.entries == ((1, 1),)
+    assert bd.as_lists() == [[1, 1]]
 
 
 def test_shifted_from_generators_bipyramid():

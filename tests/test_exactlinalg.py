@@ -1,24 +1,27 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_kernels import char_poly_fraction, fraction_kernel_basis, mat_mul
 
+import simtree
 from simtree.complexes import SimplicialComplex
-from simtree.errors import InputError
+from simtree.errors import ExactnessError, InputError
 from simtree.exactlinalg import (
+    _require,
     bareiss_det,
     betti,
     char_poly,
-    char_poly_fraction,
     fraction_det,
     homology,
     integer_spectrum_check,
     is_apc,
     kernel_basis,
-    mat_mul,
     nonzero_eigenvalue_product,
     rank,
     smith_normal_form,
@@ -140,6 +143,38 @@ def test_kernel_basis():
     assert len(kb) == 2
     for v in kb:
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in M)
+    assert kernel_basis([], n_cols=2) == fraction_kernel_basis([], n_cols=2) == [[1, 0], [0, 1]]
+    assert kernel_basis([[], []], n_cols=0) == []
+
+
+# Mostly zero and unit entries, so that kernels are common.
+sparse_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                                    min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices)
+def test_kernel_basis_matches_fraction_reference(M):
+    basis = kernel_basis(M)
+    assert basis == fraction_kernel_basis(M)
+    assert len(basis) == len(M[0]) - rank(M)
+
+
+def test_require_raises_exactness_error():
+    _require(True, "holds")
+    with pytest.raises(ExactnessError, match="invariant broken"):
+        _require(False, "invariant broken")
+
+
+@pytest.mark.parametrize("module", ["exactlinalg.py", "trees.py"])
+def test_invariants_survive_optimize(module):
+    """python -O strips assert statements, so invariants must use _require."""
+    source = (Path(simtree.__file__).parent / module).read_text()
+    asserts = [node.lineno for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_homology_examples():

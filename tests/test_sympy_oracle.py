@@ -1,0 +1,43 @@
+"""Differential tests of the exact kernels against sympy as an independent oracle."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from simtree.exactlinalg import bareiss_det, char_poly, rank, smith_normal_form
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+entries = st.integers(-9, 9)
+matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)))
+square = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square)
+def test_det_matches_sympy(M):
+    assert bareiss_det(M) == sympy.Matrix(M).det()
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_rank_matches_sympy(M):
+    assert rank(M) == sympy.Matrix(M).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_smith_normal_form_matches_sympy(M):
+    expected = [int(d) for d in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if d != 0]
+    assert smith_normal_form(M) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(square)
+def test_char_poly_matches_sympy(M):
+    y = sympy.Symbol("y")
+    expected = [int(c) for c in reversed(sympy.Matrix(M).charpoly(y).all_coeffs())]
+    assert char_poly(M) == expected

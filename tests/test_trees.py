@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from reference_kernels import dense_up_down_laplacian
 
 from simtree.complexes import SimplicialComplex
+from simtree.corpus import enumerate_shifted_complexes
 from simtree.errors import DomainError, InputError, ResourceLimitError
 from simtree.exactlinalg import betti, homology
 from simtree.fixtures import (
@@ -214,3 +216,15 @@ def test_oracle_equivalence_on_fixtures():
 def test_tree_count_invariant():
     count = enumerate_ssts(rp2_six_vertices(), 2)
     assert count.tau == sum(t * t for _, t in count.per_tree)
+
+
+def test_up_down_laplacian_matches_dense_product():
+    fixtures = [bipyramid(), tetrahedron_boundary(), rp2_six_vertices(), two_disjoint_edges(),
+                complete_graph(5), complete_bipartite(3, 4)]
+    skeletons = [simplex_skeleton(n, d) for d in (1, 2, 3) for n in range(d + 1, 9)]
+    for cx in [*enumerate_shifted_complexes(6, 2), *fixtures, *skeletons]:
+        for k in range(cx.dim + 2):
+            assert up_down_laplacian(cx, k) == dense_up_down_laplacian(cx, k)
+        for k in (-1, cx.dim + 2):
+            with pytest.raises(InputError):
+                up_down_laplacian(cx, k)
