@@ -91,22 +91,38 @@ def _cmd_weighted(args) -> str:
     return _poly_output(weighted_tau(cx, args.scheme, det_cap=args.det_cap), args.json)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _load_spectra(path) -> dict:
+    """The spectra of a spectrum file: an object whose "spectra" maps each
+    dimension (a decimal string) to a list of {"S": int list, "T": nonempty
+    int list}, as `sst shifted spectrum --json` writes it."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read spectra from {path}: {exc}") from exc
+    raw = data.get("spectra") if isinstance(data, dict) else None
+    if not isinstance(raw, dict) or not all(
+            i.isdecimal() and str(int(i)) == i and isinstance(entries, list)
+            and all(isinstance(e, dict) and _is_int_list(e.get("S"))
+                    and _is_int_list(e.get("T")) and e["T"] for e in entries)
+            for i, entries in raw.items()):
+        raise InputError(f"{path}: \"spectra\" must map each dimension to a list of "
+                         "{\"S\": integer list, \"T\": nonempty integer list}")
+    dim = max(map(int, raw), default=0)
+    return {int(i): [ZPolynomial(S=tuple(e["S"]), T=tuple(e["T"]),
+                                 shift=dim - int(i), cutoff=dim) for e in entries]
+            for i, entries in raw.items()}
+
+
 def _cmd_shifted(args) -> str:
     if args.action == "hear":
         if not args.spectrum_file:
             raise InputError("hear needs --spectrum-file")
-        try:
-            with open(args.spectrum_file) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise InputError(f"cannot read spectra from {args.spectrum_file}: {exc}") from exc
-        spectra = {}
-        dim = max(int(i) for i in data["spectra"])
-        for i, entries in data["spectra"].items():
-            i = int(i)
-            spectra[i] = [ZPolynomial(S=tuple(e["S"]), T=tuple(e["T"]),
-                                      shift=dim - i, cutoff=dim) for e in entries]
-        cx = hear_shape(spectra)
+        cx = hear_shape(_load_spectra(args.spectrum_file))
         return _dump({"facets": [list(F) for F in cx.facets() if F]})
 
     cx = _load_any_complex(args)

@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, _require
 
 Face = tuple  # tuple[int, ...], strictly increasing
 
@@ -269,17 +269,20 @@ class SimplicialComplex:
 
 
 def is_shifted(cx: SimplicialComplex) -> bool:
-    """Exchange condition: i < j vertices, j in F, i not in F => F - j + i is a face."""
+    """Exchange condition: i < j vertices, j in F, i not in F => F - j + i is a face.
+
+    Only i = the next smaller vertex of the complex is tried: chaining such
+    exchanges yields all the others. F - j + i then stays sorted in place.
+    """
     verts = cx.vertices
-    for F in cx.all_faces():
-        for j in F:
-            for i in verts:
-                if i >= j:
-                    break
-                if i not in F:
-                    G = tuple(sorted(set(F) - {j} | {i}))
-                    if G not in cx:
-                        return False
+    below = dict(zip(verts[1:], verts))
+    faces = cx.all_faces()
+    for F in faces:
+        for pos, j in enumerate(F):
+            i = below.get(j)
+            if i is not None and (pos == 0 or F[pos - 1] != i) \
+                    and F[:pos] + (i,) + F[pos + 1:] not in faces:
+                return False
     return True
 
 
@@ -306,7 +309,7 @@ def shifted_from_generators(generators, p: int) -> SimplicialComplex:
             raise InputError(f"generator {G} has a vertex below the minimal vertex {p}")
         faces.update(_ideal_below(G, p))
     cx = SimplicialComplex.closure(faces) if faces else SimplicialComplex.empty()
-    assert is_shifted(cx)
+    _require(is_shifted(cx), "generated complex must be shifted")
     return cx
 
 

@@ -8,6 +8,7 @@ import random
 from functools import lru_cache
 
 from .complexes import SimplicialComplex
+from .errors import _require
 from .exactlinalg import is_apc
 from .shifted import lsg_direct
 
@@ -82,7 +83,7 @@ def random_apc_2_complexes(count: int = 100, seed: int = DEFAULT_SEED,
         cx = SimplicialComplex.closure(tris)
         if cx.dim == 2 and is_apc(cx):
             out.append(cx)
-    assert len(out) == count, "random APC sampling failed to reach the requested count"
+    _require(len(out) == count, "random APC sampling failed to reach the requested count")
     return tuple(out)
 
 

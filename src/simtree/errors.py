@@ -19,3 +19,10 @@ class ResourceLimitError(Exception):
 
 class ExactnessError(ArithmeticError):
     """An operation that must be exact (division, integrality assert) was not."""
+
+
+def _require(cond, message: str) -> None:
+    """Raise ExactnessError unless an exactness invariant holds (a bare assert
+    would vanish under python -O)."""
+    if not cond:
+        raise ExactnessError(message)

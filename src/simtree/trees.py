@@ -11,13 +11,13 @@ tau_k weights each tree by the squared order of its codimension-1 torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, gcd
 
-from .complexes import SimplicialComplex
-from .errors import DomainError, InputError, ResourceLimitError
+from .complexes import SimplicialComplex, is_shifted
+from .errors import DomainError, InputError, ResourceLimitError, _require
 from .exactlinalg import (
     HomologySummary,
-    _require,
     bareiss_det,
     betti,
     boundary_rank,
@@ -207,19 +207,6 @@ def find_sst(cx: SimplicialComplex, k: int) -> tuple:
     return tree
 
 
-def default_ridge_tree(cx: SimplicialComplex, k: int) -> tuple:
-    """A (k-1)-SST to reduce by: the star of the minimal vertex when the complex
-    is shifted (the star is a cone, hence contractible), else the greedy tree."""
-    from .complexes import is_shifted
-
-    amb = cx.skeleton(k)
-    if k == 0:
-        return ()
-    if is_shifted(amb):
-        return star_ridges(amb, k - 1, amb.min_vertex)
-    return find_sst(amb, k - 1)
-
-
 def reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree) -> list:
     """Delete the rows/columns of L^ud_{k-1} indexed by the ridge tree."""
     amb = cx.skeleton(k)
@@ -230,34 +217,49 @@ def reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree) -> list:
     return [[L[i][j] for j in keep] for i in keep]
 
 
-def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) -> int:
-    """tau_k by the reduced-Laplacian matrix-tree formula, with the torsion
-    correction |H~_{k-2}(ambient)|^2 / |H~_{k-2}(ambient_U)|^2 always applied."""
+def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tuple:
+    """(amb, U, correction) for the reduced-Laplacian formula of tau_k: amb is
+    the APC k-skeleton, U the (k-1)-SST whose ridges are deleted, and
+    correction = |H~_{k-2}(amb)|^2 / |H~_{k-2}(amb_U)|^2 with amb_U the ridges
+    of U over the (k-2)-skeleton.
+
+    Without a ridge tree, U is the star of the minimal vertex when amb is
+    shifted (a cone, hence contractible), else the greedy tree of find_sst.
+    """
     amb = cx.skeleton(k)
     if not is_apc(amb):
         raise DomainError(NOT_APC_MESSAGE)
+    if ridge_tree is None and k and not is_shifted(amb):
+        U = find_sst(amb, k - 1)  # find_sst checks its own tree
+    else:
+        if ridge_tree is not None:
+            U = tuple(tuple(F) for F in ridge_tree)
+        else:
+            U = star_ridges(amb, k - 1, amb.min_vertex) if k else ()
+        if not is_sst(amb, k - 1, U).is_tree:
+            raise InputError("the ridge set is not a (k-1)-SST")
+    _require(amb.f(k - 1) - len(U) == amb.f(k) - betti(amb, k),
+             "reduced Laplacian has the wrong size")
+    lower = [F for F in amb.all_faces() if len(F) - 1 <= k - 2]
+    t_amb = homology(amb, k - 2).group_order()
+    t_u = homology(SimplicialComplex(list(U) + lower), k - 2).group_order()
+    _require(t_amb is not None and t_u is not None, "torsion orders must be finite")
+    return amb, U, Fraction(t_amb * t_amb, t_u * t_u)
+
+
+def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) -> int:
+    """tau_k by the reduced-Laplacian matrix-tree formula, with the torsion
+    correction of ridge_tree_reduction always applied."""
     if k == 0:
+        amb = cx.skeleton(0)
         if ridge_tree:
             raise InputError("the ridge set must be empty when k = 0")
         return bareiss_det(up_down_laplacian(amb, 0))
-    U = tuple(tuple(F) for F in ridge_tree) if ridge_tree is not None \
-        else default_ridge_tree(amb, k)
-    if not is_sst(amb, k - 1, U).is_tree:
-        raise InputError("the ridge set is not a (k-1)-SST")
-    ridges = amb.faces_of_dim(k - 1)
-    _require(len(ridges) - len(U) == amb.f(k) - betti(amb, k),
-             "reduced Laplacian has the wrong size")
-    det = bareiss_det(reduced_laplacian(amb, k, U))
-    t_amb = homology(amb, k - 2).group_order() if k >= 1 else 1
-    lower = [F for F in amb.all_faces() if len(F) - 1 <= k - 2]
-    amb_u = SimplicialComplex(list(U) + lower)
-    t_u = homology(amb_u, k - 2).group_order()
-    _require(t_amb is not None and t_u is not None, "torsion orders must be finite")
-    num = t_amb * t_amb * det
-    _require(num % (t_u * t_u) == 0, "torsion correction is not integral")
-    tau = num // (t_u * t_u)
+    amb, U, correction = ridge_tree_reduction(cx, k, ridge_tree)
+    tau = bareiss_det(reduced_laplacian(amb, k, U)) * correction
+    _require(tau.denominator == 1, "torsion correction is not integral")
     _require(tau > 0, "tree count must be positive")
-    return tau
+    return tau.numerator
 
 
 def pi(cx: SimplicialComplex, k: int) -> int:

@@ -28,6 +28,7 @@ from .exactlinalg import (
     fraction_det,
     homology,
     integer_spectrum_check,
+    is_apc,
     rank,
     smith_normal_form,
 )
@@ -47,7 +48,9 @@ from .shifted import (
     ferrers_tau,
     ferrers_via_threshold_zero_substitution,
     hear_shape,
+    lsg_recursive,
     shifted_spectrum,
+    shifted_tau_coarse,
     shifted_tau_fine,
     threshold_tau,
     unweighted_spectrum_duval_reiner,
@@ -199,10 +202,13 @@ def check_06_weighted_bipyramid(seed=DEFAULT_SEED, **_) -> CheckResult:
     B = bipyramid()
     coarse = weighted_tau(B, "coarse")
     fine = shifted_tau_fine(B)
+    weighted_fine = weighted_tau(B, "fine")
+    tau = tau_via_reduced_laplacian(B, 2)  # the same default ridge tree
     ok = (coarse == _expected_bipyramid_coarse()
           and fine == _expected_bipyramid_fine()
-          and fine.coarse_collapse() == coarse
-          and weighted_tau(B, "fine") == fine)
+          and fine.coarse_collapse() == coarse == shifted_tau_coarse(B)
+          and weighted_fine == fine
+          and coarse.all_ones() == weighted_fine.all_ones() == tau)
     return CheckResult(6, "weighted bipyramid enumerators (coarse, fine, collapse)",
                        ok, "coarse matches the displayed product; fine matches the "
                            "displayed factorization; collapse agrees")
@@ -296,7 +302,9 @@ def check_11_hearing(seed=DEFAULT_SEED, max_vertices=6, witness_max=7,
     failures = 0
     for cx in corpus:
         spectra = {i: shifted_spectrum(cx, i) for i in range(0, cx.dim + 1)}
-        if hear_shape(spectra) != cx:
+        recurrence_ok = all(tuple(lsg_recursive(cx, i)) == spec.pairs()
+                            for i, spec in spectra.items())
+        if hear_shape(spectra) != cx or not recurrence_ok:
             failures += 1
     witness = find_coarse_hearing_witness(witness_max, witness_extended)
     if witness["found"]:
@@ -325,7 +333,7 @@ def check_12_threshold_ferrers(seed=DEFAULT_SEED, threshold_max=7, **_) -> Check
     failures = 0
     for g in _connected_threshold_graphs(threshold_max):
         graphs += 1
-        if threshold_tau(g) != weighted_oracle(g, "fine"):
+        if not threshold_tau(g) == shifted_tau_fine(g) == weighted_oracle(g, "fine"):
             failures += 1
     partitions = [lam for parts in range(1, 5)
                   for lam in itertools.combinations_with_replacement(range(4, 0, -1), parts)
@@ -378,6 +386,9 @@ def check_13_property_suites(seed=DEFAULT_SEED, max_vertices=6, **_) -> CheckRes
             problems.append("boundary composition")
         if not _euler_ok(cx):
             problems.append("euler")
+    for cx in corpus[::7]:
+        if is_apc(cx) and shifted_tau_coarse(cx) != shifted_tau_fine(cx).coarse_collapse():
+            problems.append("coarse collapse")
 
     rng = _rng(seed, "two-out-of-three")
     for cx in fixtures:
@@ -409,9 +420,10 @@ def check_13_property_suites(seed=DEFAULT_SEED, max_vertices=6, **_) -> CheckRes
     B = bipyramid()
     ridge_trees = [star_ridges(B, 1, 1), find_sst(B, 1),
                    ((1, 2), (2, 3), (3, 4), (3, 5)), ((1, 5), (2, 5), (3, 5), (3, 4))]
-    taus = {tau_via_reduced_laplacian(B, 2, U) for U in ridge_trees}
-    wtaus = {weighted_tau(B, "coarse", U) for U in ridge_trees}
-    u_indep = taus == {15} and len(wtaus) == 1
+    taus = [tau_via_reduced_laplacian(B, 2, U) for U in ridge_trees]
+    wtaus = [weighted_tau(B, "coarse", U) for U in ridge_trees]
+    u_indep = (set(taus) == {15} and len(set(wtaus)) == 1
+               and all(w.all_ones() == t for w, t in zip(wtaus, taus)))
 
     deg_sig_ok = True
     beta_ok = True

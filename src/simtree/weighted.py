@@ -18,16 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import SimplicialComplex
-from .errors import DomainError, InputError, ResourceLimitError
-from .exactlinalg import fraction_det, homology, is_apc
+from .errors import InputError, ResourceLimitError, _require
+from .exactlinalg import fraction_det
 from .laurent import LaurentPoly, monomial_for_face, poly_sum, raise_op, x_facet
-from .trees import (
-    NOT_APC_MESSAGE,
-    default_ridge_tree,
-    enumerate_ssts,
-    is_sst,
-    tau_via_reduced_laplacian,
-)
+from .trees import enumerate_ssts, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
 
@@ -56,7 +50,8 @@ class SymbolicMatrix:
                               entries=tuple(zip(*self.entries)))
 
     def matmul(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise InputError("matrix product needs matching inner labels")
         k = len(self.cols)
         out = []
         for i in range(self.n_rows):
@@ -81,34 +76,10 @@ class SymbolicMatrix:
             cols=tuple(self.cols[j] for j in ci),
             entries=tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.n_rows) for j in range(i))
-
     def substitute(self, assignment) -> list:
         """Numeric matrix of Fractions at an exact-rational assignment."""
         return [[e.evaluate(assignment) if e else Fraction(0) for e in row]
                 for row in self.entries]
-
-    def scale_row_col(self, row_divisors, col_divisors) -> "SymbolicMatrix":
-        """Divide row i by row_divisors[i] and column j by col_divisors[j] (monomials)."""
-        out = []
-        for i in range(self.n_rows):
-            row = []
-            for j in range(self.n_cols):
-                e = self.entries[i][j]
-                if e:
-                    e = e.div_exact(row_divisors[i]).div_exact(col_divisors[j])
-                row.append(e)
-            out.append(tuple(row))
-        return SymbolicMatrix(rows=self.rows, cols=self.cols, entries=tuple(out))
-
-
-def zero_symbolic(rows, cols) -> SymbolicMatrix:
-    z = LaurentPoly.zero()
-    return SymbolicMatrix(rows=tuple(rows), cols=tuple(cols),
-                          entries=tuple(tuple(z for _ in cols) for _ in rows))
 
 
 def facet_weight(cx: SimplicialComplex, F, scheme: str, squared: bool = True,
@@ -191,40 +162,14 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
     return minor(full, 0)
 
 
-def _torsion_correction(amb: SimplicialComplex, d: int, U) -> Fraction:
-    lower = [F for F in amb.all_faces() if len(F) - 1 <= d - 2]
-    amb_u = SimplicialComplex(list(U) + lower)
-    t_amb = homology(amb, d - 2).group_order()
-    t_u = homology(amb_u, d - 2).group_order()
-    assert t_amb is not None and t_u is not None
-    return Fraction(t_amb * t_amb, t_u * t_u)
-
-
-def reduced_weighted_laplacian(cx: SimplicialComplex, scheme: str,
-                               ridge_tree=None) -> tuple:
-    """(L-hat_U, U): the weighted Laplacian with a validated (d-1)-SST deleted."""
-    d = cx.dim
-    if not is_apc(cx):
-        raise DomainError(NOT_APC_MESSAGE)
-    U = tuple(tuple(F) for F in ridge_tree) if ridge_tree is not None \
-        else default_ridge_tree(cx, d)
-    if not is_sst(cx, d - 1, U).is_tree:
-        raise InputError("the ridge set is not a (d-1)-SST")
-    L = weighted_up_down_laplacian(cx, scheme)
-    return L.delete_labels(U), U
-
-
 def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,
                  det_cap: int = 12) -> LaurentPoly:
     """The weighted spanning-tree enumerator tau-hat_d as an exact polynomial."""
-    d = cx.dim
-    LU, U = reduced_weighted_laplacian(cx, scheme, ridge_tree)
-    det = symbolic_det(LU, cap=det_cap)
-    corr = _torsion_correction(cx, d, U)
-    result = det * corr
-    assert result.has_nonnegative_integer_coeffs(), \
-        "weighted enumerator must have nonnegative integer coefficients"
-    assert result.all_ones() == tau_via_reduced_laplacian(cx, d, U)
+    amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
+    result = symbolic_det(LU, cap=det_cap) * correction
+    _require(result.has_nonnegative_integer_coeffs(),
+             "weighted enumerator must have nonnegative integer coefficients")
     return result
 
 
@@ -232,10 +177,9 @@ def weighted_tau_at_points(cx: SimplicialComplex, scheme: str, assignments,
                            ridge_tree=None) -> list:
     """Evaluation mode for matrices above the symbolic cap: the exact value of
     tau-hat at each assignment, via numeric determinants."""
-    d = cx.dim
-    LU, U = reduced_weighted_laplacian(cx, scheme, ridge_tree)
-    corr = _torsion_correction(cx, d, U)
-    return [fraction_det(LU.substitute(a)) * corr for a in assignments]
+    amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
+    return [fraction_det(LU.substitute(a)) * correction for a in assignments]
 
 
 def weighted_oracle(cx: SimplicialComplex, scheme: str,

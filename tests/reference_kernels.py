@@ -7,6 +7,9 @@ the tests require identical results from both.
 from fractions import Fraction
 from math import gcd
 
+from simtree.laurent import LaurentPoly, monomial_for_face, raise_op
+from simtree.weighted import SymbolicMatrix
+
 
 def mat_mul(A, B):
     if not A or not B:
@@ -95,3 +98,68 @@ def fraction_kernel_basis(M, n_cols=None):
             iv = [x // g for x in iv]
         basis.append(iv)
     return basis
+
+
+def is_shifted_all_pairs(cx) -> bool:
+    """The exchange condition tried for every smaller vertex i of every j in
+    every face F: i not in F => F - j + i is a face."""
+    verts = cx.vertices
+    for F in cx.all_faces():
+        for j in F:
+            for i in verts:
+                if i >= j:
+                    break
+                if i not in F:
+                    G = tuple(sorted(set(F) - {j} | {i}))
+                    if G not in cx:
+                        return False
+    return True
+
+
+def zero_symbolic(rows, cols) -> SymbolicMatrix:
+    z = LaurentPoly.zero()
+    return SymbolicMatrix(rows=tuple(rows), cols=tuple(cols),
+                          entries=tuple(tuple(z for _ in cols) for _ in rows))
+
+
+def is_symmetric(M: SymbolicMatrix) -> bool:
+    return M.rows == M.cols and all(
+        M.entries[i][j] == M.entries[j][i] for i in range(M.n_rows) for j in range(i))
+
+
+def scale_row_col(M: SymbolicMatrix, row_divisors, col_divisors) -> SymbolicMatrix:
+    """Divide row i by row_divisors[i] and column j by col_divisors[j] (monomials)."""
+    entries = tuple(
+        tuple(e.div_exact(row_divisors[i]).div_exact(col_divisors[j]) if e else e
+              for j, e in enumerate(row))
+        for i, row in enumerate(M.entries))
+    return SymbolicMatrix(rows=M.rows, cols=M.cols, entries=entries)
+
+
+def algebraic_fine_boundary(cx, i: int) -> SymbolicMatrix:
+    """The chain-complex-forming boundary map: entry (F\\j, F) equals
+    eps(j,F) * raise^{d-i}(x_F) / raise^{d-i+1}(x_{F\\j})."""
+    d = cx.dim
+    rows = cx.faces_of_dim(i - 1)
+    cols = cx.faces_of_dim(i)
+    if i > d or not cols:
+        return zero_symbolic(rows, cols)
+    row_index = {F: r for r, F in enumerate(rows)}
+    z = LaurentPoly.zero()
+    entries = [[z] * len(cols) for _ in rows]
+    for j, F in enumerate(cols):
+        num = raise_op(monomial_for_face(F, "fine", squared=False), d - i, d)
+        for pos in range(len(F)):
+            G = F[:pos] + F[pos + 1:]
+            den = raise_op(monomial_for_face(G, "fine", squared=False), d - i + 1, d)
+            val = num.div_exact(den)
+            entries[row_index[G]][j] = val if pos % 2 == 0 else -val
+    return SymbolicMatrix(rows=tuple(rows), cols=tuple(cols),
+                          entries=tuple(tuple(r) for r in entries))
+
+
+def algebraic_fine_laplacian(cx, i: int) -> SymbolicMatrix:
+    """LL^ud_i = bd_{i+1} bd*_{i+1} as the product of the boundary matrices
+    (the reference for shifted.algebraic_fine_laplacian_entries)."""
+    B = algebraic_fine_boundary(cx, i + 1)
+    return B.matmul(B.transpose())

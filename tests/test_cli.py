@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import simtree
 from simtree.cli import main
@@ -167,3 +168,121 @@ def test_malformed_generators_exit_1(capsys):
     code, out, err = run(capsys, "count", "--generators", "2,3,x")
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"x": 1}',
+    '{"spectra": {"a": []}}',
+    '{"spectra": {"1": [{"S": [1]}]}}',
+    '[1]',
+    '{"spectra": {"1": [{"S": [2], "T": []}]}}',
+])
+def test_malformed_spectrum_file_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "spectra.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "shifted", "hear", "--spectrum-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+# -- fuzzing the whole command line ------------------------------------------------
+
+_ints = st.integers(1, 5) | st.integers(-2, 5)
+_int_text = _ints.map(str) | st.sampled_from(["", "x", "1.5", "-0", "99"])
+_csv = st.lists(_ints, max_size=6).map(lambda xs: ",".join(map(str, xs)))
+_vertex_lists = st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+                         min_size=1, max_size=5)
+_json_junk = st.recursive(
+    st.none() | st.booleans() | _ints | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["facets", "shifted_generators", "min_vertex", "spectra",
+                         "S", "T", "0", "1", "2", "01"]), inner, max_size=3),
+    max_leaves=8)
+_complex_text = st.one_of(
+    _vertex_lists.map(lambda fs: json.dumps({"facets": fs})),
+    st.tuples(_vertex_lists, _ints).map(
+        lambda g: json.dumps({"shifted_generators": g[0], "min_vertex": g[1]})),
+    _json_junk.map(json.dumps),
+    st.sampled_from(["", "{", "nul", '{"facets": [[1, 2]]']),
+)
+_pair = st.fixed_dictionaries({"S": st.lists(st.integers(-1, 5), max_size=3),
+                               "T": st.lists(st.integers(-1, 5), max_size=4)})
+_spectrum_text = st.one_of(
+    st.dictionaries(st.sampled_from(["0", "1", "2", "01", "a", "-1"]),
+                    st.lists(_pair, max_size=4), max_size=3)
+    .map(lambda spectra: json.dumps({"spectra": spectra})),
+    _json_junk.map(json.dumps),
+    st.sampled_from(["", "[", '{"spectra": ']),
+)
+_generators = st.lists(_csv, min_size=1, max_size=3).map(";".join)
+
+# Options per subcommand, each with a strategy for its value tokens.
+# "COMPLEX" and "SPECTRA" stand for the files written for the example.
+
+
+def _value(strategy):
+    return strategy.map(lambda v: [str(v)])
+
+
+_FLAG = st.just([])
+_COMPLEX_OPTIONS = {
+    "--complex": st.just(["COMPLEX"]),
+    "--generators": _value(_generators),
+    "--min-vertex": _value(_int_text),
+}
+_OPTIONS = {
+    "homology": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text)},
+    "count": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text),
+              "--method": _value(st.sampled_from(["oracle", "laplacian", "altproduct", "x"])),
+              "--cap": _value(st.integers(0, 100)), "--trees": _FLAG},
+    "weighted": {**_COMPLEX_OPTIONS,
+                 "--scheme": _value(st.sampled_from(["fine", "coarse", "facet", "x"])),
+                 "--det-cap": _value(st.integers(0, 12)), "--json": _FLAG},
+    "shifted": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text), "--coarse": _FLAG,
+                "--json": _FLAG, "--spectrum-file": st.just(["SPECTRA"])},
+    "threshold": {"--degrees": _value(_csv), "--json": _FLAG},
+    "ferrers": {"--partition": _value(_csv), "--json": _FLAG},
+}
+# Options drawn for every example of a subcommand, so that most examples get
+# past argument parsing; a tuple is one choice among its members.
+_REQUIRED = {
+    "homology": [("--complex", "--generators"), "--dim"],
+    "count": [("--complex", "--generators")],
+    "weighted": [("--complex", "--generators"), "--scheme"],
+    "shifted": [("--complex", "--generators", "--spectrum-file")],
+    "threshold": ["--degrees"],
+    "ferrers": ["--partition"],
+}
+_ACTIONS = ["spectrum", "tau", "critical-pairs", "hear", "x"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "shifted":
+        argv.append(draw(st.sampled_from(_ACTIONS)))
+    options = _OPTIONS[command]
+    names = [draw(st.sampled_from(name)) if isinstance(name, tuple) else name
+             for name in _REQUIRED[command]]
+    names += draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    for name in names:
+        argv += [name] + draw(options[name])
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "7", "-"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv(), complex_text=_complex_text, spectrum_text=_spectrum_text)
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys, argv, complex_text, spectrum_text):
+    """Every subcommand but verify, on small complexes and malformed files:
+    an exit code in {0, 1, 2, 3} and never a traceback."""
+    files = {"COMPLEX": tmp_path / "complex.json", "SPECTRA": tmp_path / "spectra.json"}
+    files["COMPLEX"].write_text(complex_text)
+    files["SPECTRA"].write_text(spectrum_text)
+    argv = [str(files.get(token, token)) for token in argv]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

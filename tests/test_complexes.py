@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference_kernels import is_shifted_all_pairs
 
 from simtree.complexes import (
     SimplicialComplex,
@@ -12,6 +14,7 @@ from simtree.complexes import (
     shifted_from_generators,
     vertex_sign,
 )
+from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import InputError
 from simtree.fixtures import (
     bipyramid,
@@ -174,6 +177,31 @@ def test_shifted_from_generators_bipyramid():
 def test_is_shifted():
     assert is_shifted(bipyramid())
     assert not is_shifted(SimplicialComplex.from_facets([[1, 3], [2, 4]]))
+
+
+def test_is_shifted_matches_all_pairs_reference_on_corpus():
+    corpus = enumerate_shifted_complexes(6, 2)
+    complexes = list(corpus) + list(random_apc_2_complexes(100))
+    complexes += [cx.deletion(v) for cx in corpus[::5] for v in cx.vertices]
+    complexes += [cx.link(v) for cx in corpus[::5] for v in cx.vertices]
+    results = [is_shifted(cx) for cx in complexes]
+    assert results == [is_shifted_all_pairs(cx) for cx in complexes]
+    assert True in results and False in results
+
+
+_faces = st.lists(st.sets(st.integers(1, 7), min_size=1, max_size=4), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_faces, st.integers(1, 3), st.booleans())
+def test_is_shifted_matches_all_pairs_reference(faces, stretch, as_generators):
+    """Closures of random faces, and shifted complexes with gaps between their
+    vertices (shiftedness is relative to the complex's own vertex order)."""
+    faces = [sorted(F) for F in faces]
+    cx = shifted_from_generators(faces, 1) if as_generators \
+        else SimplicialComplex.from_facets(faces)
+    cx = SimplicialComplex([tuple(stretch * v for v in F) for F in cx.all_faces()])
+    assert is_shifted(cx) == is_shifted_all_pairs(cx)
 
 
 def test_link_deletion_of_shifted_is_shifted():

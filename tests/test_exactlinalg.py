@@ -11,9 +11,8 @@ from reference_kernels import char_poly_fraction, fraction_kernel_basis, mat_mul
 
 import simtree
 from simtree.complexes import SimplicialComplex
-from simtree.errors import ExactnessError, InputError
+from simtree.errors import ExactnessError, InputError, _require
 from simtree.exactlinalg import (
-    _require,
     bareiss_det,
     betti,
     char_poly,
@@ -168,10 +167,13 @@ def test_require_raises_exactness_error():
         _require(False, "invariant broken")
 
 
-@pytest.mark.parametrize("module", ["exactlinalg.py", "trees.py"])
+SOURCE_DIR = Path(simtree.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE_DIR.glob("*.py")))
 def test_invariants_survive_optimize(module):
     """python -O strips assert statements, so invariants must use _require."""
-    source = (Path(simtree.__file__).parent / module).read_text()
+    source = (SOURCE_DIR / module).read_text()
     asserts = [node.lineno for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.Assert)]
     assert asserts == []
