@@ -233,7 +233,7 @@ class SimplicialComplex:
     def boundary_matrix(self, k: int) -> BoundaryMatrix:
         """The signed boundary map C_k -> C_{k-1}; k may be dim+1 (zero columns)."""
         if k < 0 or k > self.dim + 1:
-            raise InputError(f"boundary dimension {k} out of range [0, {self.dim}]")
+            raise InputError(f"boundary dimension {k} out of range [0, {self.dim + 1}]")
         return self.memo(("boundary", k), lambda: self._boundary(k))
 
     def _boundary(self, k: int) -> BoundaryMatrix:
@@ -253,19 +253,6 @@ class SimplicialComplex:
             i = self.dim
         fam = self._by_dim.get(i, ())
         return tuple(sum(1 for F in fam if v in F) for v in self._vertices)
-
-    # -- shifted / near-cone predicates ----------------------------------
-
-    def is_near_cone(self, p: int) -> bool:
-        dele = self.deletion(p) if p in self._vertices else None
-        if dele is None:
-            return False
-        for F in dele.all_faces():
-            for v in F:
-                G = tuple(sorted(set(F) - {v} | {p}))
-                if G not in self._faces:
-                    return False
-        return True
 
 
 def is_shifted(cx: SimplicialComplex) -> bool:

@@ -3,8 +3,8 @@
 Matrices are plain lists of lists of Python ints (or Fractions where stated);
 everything is exact. Algorithms:
 
-- rank and kernel basis from one fraction-free echelon routine (rows kept
-  primitive; no Fractions are built);
+- rank and the lexicographically first column basis from one fraction-free
+  echelon routine (rows kept primitive; no Fractions are built);
 - determinants by fraction-free Bareiss elimination;
 - Smith normal form by elimination with a minimal pivot, skipping the
   divisibility scan whenever the pivot is a unit;
@@ -91,11 +91,11 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(M, reduced: bool):
-    """Fraction-free row echelon form of an integer matrix, as (rows, pivot
-    columns). Every row stays an integer row divided by its content. With
-    reduced=True each pivot column is also cleared above its pivot, so row i
-    reads p_i * x[pivots[i]] + (free columns) = 0 with p_i != 0."""
+def pivot_columns(M) -> list:
+    """Pivot columns of the fraction-free row echelon form of an integer
+    matrix: column c is a pivot iff it is not in the span of the columns
+    before it, so the pivots are the lexicographically first column basis.
+    Every row stays an integer row divided by its content."""
     A = [list(r) for r in M]
     m = len(A)
     n = len(A[0]) if A else 0
@@ -112,47 +112,22 @@ def _echelon(M, reduced: bool):
         A[r], A[piv] = A[piv], A[r]
         Ar = A[r]
         prc = Ar[c]
-        for i in range(0 if reduced else r + 1, m):
+        for i in range(r + 1, m):
             Ai = A[i]
             aic = Ai[c]
-            if aic and i != r:
-                # Ar is zero left of c, so rows below need only columns >= c
-                for j in range(c if i > r else 0, n):
+            if aic:
+                # Ar is zero left of c, so only columns >= c change
+                for j in range(c, n):
                     Ai[j] = prc * Ai[j] - aic * Ar[j]
                 A[i] = _primitive(Ai)
         pivots.append(c)
         r += 1
-    return A[:r], pivots
+    return pivots
 
 
 def rank(M) -> int:
     """Rank over Q via fraction-free elimination."""
-    return len(_echelon(M, reduced=False)[1])
-
-
-def kernel_basis(M, n_cols=None):
-    """Primitive integer basis vectors v with M @ v = 0 (column kernel): one
-    per free column f, supported on f and the pivot columns, with v[f] > 0."""
-    n = len(M[0]) if M and M[0] else (n_cols if n_cols is not None else 0)
-    if n == 0:
-        return []
-    rows, pivots = _echelon(M, reduced=True)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        # x[pivot_i] = -row_i[free] / row_i[pivot_i]; scale by the lcm of the pivots used
-        used = [(row[c], row[free], c) for row, c in zip(rows, pivots) if row[free]]
-        scale = 1
-        for p, _, _ in used:
-            scale = scale * abs(p) // gcd(scale, p)
-        v = [0] * n
-        v[free] = scale
-        for p, a, c in used:
-            v[c] = -a * (scale // p)
-        basis.append(_primitive(v))
-    return basis
+    return len(pivot_columns(M))
 
 
 def smith_normal_form(M) -> list:

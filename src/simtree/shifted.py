@@ -17,10 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import SimplicialComplex, _ideal_below, is_shifted, vertex_sign
-from .errors import DomainError, InputError, _require
+from .errors import DomainError, InputError, ResourceLimitError, _require
 from .exactlinalg import betti
 from .laurent import LaurentPoly, X_fine, monomial_for_face, raise_op
 from .weighted import SymbolicMatrix
+
+# hear_shape builds at most this many faces: a face F of its order ideals
+# counts 2^|F|, itself and the subsets the closure builds from it. A complex
+# on at most 6 vertices, the acceptance scale, needs at most 3^6 = 729.
+HEAR_FACE_CAP = 50_000
 
 
 def _check_shifted(cx: SimplicialComplex):
@@ -168,10 +173,6 @@ class SpectrumMultiset:
     def coarse_parts(self) -> tuple:
         return tuple(sorted((z.coarse_part for z in self.zpolys), reverse=True))
 
-    def same_nonzero(self, other) -> bool:
-        """Spectrum equality up to zero eigenvalues (zeros carry no tree data)."""
-        return self.pairs() == other.pairs()
-
     def __len__(self):
         return len(self.zpolys) + self.zero_multiplicity
 
@@ -215,7 +216,8 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
     SpectrumMultiset). Each z(S,T) yields the short signature S u {max T};
     the complex is the closure of the componentwise order ideals below all
     short signatures. The result's spectra are recomputed and must match the
-    input multisets.
+    input multisets. Raises ResourceLimitError once the faces it would build
+    pass HEAR_FACE_CAP.
     """
     pairs_by_dim = {}
     for i, spec in spectra.items():
@@ -229,9 +231,18 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
         raise DomainError("inconsistent spectra: mixed initial vertices")
     p = starts.pop()
     faces = set()
+    built = 0
     for S, T in all_pairs:
         sig = tuple(sorted(S + (T[-1],)))
-        faces.update(_ideal_below(sig, p))
+        if sig in faces:
+            continue  # an earlier ideal holds sig, hence all of its ideal
+        for F in _ideal_below(sig, p):
+            if F not in faces:
+                faces.add(F)
+                built += 1 << len(F)
+                if built > HEAR_FACE_CAP:
+                    raise ResourceLimitError(
+                        f"the reconstruction would build more than {HEAR_FACE_CAP} faces")
     cx = SimplicialComplex.closure(faces)
     for i, pairs in pairs_by_dim.items():
         got = sorted(lsg_direct(cx.faces_of_dim(i), cx.min_vertex)) \

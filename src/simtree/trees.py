@@ -1,5 +1,5 @@
-"""Simplicial spanning trees: predicate, oracle enumeration, greedy construction,
-and both parts of the simplicial matrix-tree theorem.
+"""Simplicial spanning trees: predicate, oracle enumeration, the lexicographically
+first tree, and both parts of the simplicial matrix-tree theorem.
 
 A k-SST of an ambient complex is a set T of k-faces such that the subcomplex
 T together with the full (k-1)-skeleton has vanishing top homology, finite
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .complexes import SimplicialComplex, is_shifted
+from .complexes import SimplicialComplex
 from .errors import DomainError, InputError, ResourceLimitError, _require
 from .exactlinalg import (
     HomologySummary,
@@ -23,8 +23,8 @@ from .exactlinalg import (
     boundary_rank,
     homology,
     is_apc,
-    kernel_basis,
     nonzero_eigenvalue_product,
+    pivot_columns,
     rank,
     smith_normal_form,
 )
@@ -186,24 +186,14 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
 
 
 def find_sst(cx: SimplicialComplex, k: int) -> tuple:
-    """Greedy k-SST: delete the lexicographically largest facet carrying a kernel
-    coefficient until the top homology vanishes."""
+    """The lexicographically first k-SST: the k-faces at the pivot columns of
+    bd_k, i.e. each k-face whose boundary is independent of the earlier ones."""
     amb = cx.skeleton(k)
     if not is_apc(amb):
         raise DomainError(NOT_APC_MESSAGE)
-    kfaces = list(amb.faces_of_dim(k))
-    bd = amb.boundary_matrix(k).as_lists()
-    chosen = list(range(len(kfaces)))
-    while True:
-        sub = _submatrix_columns(bd, chosen)
-        kb = kernel_basis(sub, n_cols=len(chosen))
-        if not kb:
-            break
-        eligible = {chosen[idx] for v in kb for idx, x in enumerate(v) if x != 0}
-        victim = max(eligible, key=lambda j: kfaces[j])
-        chosen.remove(victim)
-    tree = tuple(kfaces[j] for j in chosen)
-    _require(is_sst(amb, k, tree).is_tree, "greedy tree is not a spanning tree")
+    kfaces = amb.faces_of_dim(k)
+    tree = tuple(kfaces[j] for j in pivot_columns(amb.boundary_matrix(k).as_lists()))
+    _require(is_sst(amb, k, tree).is_tree, "pivot columns are not a spanning tree")
     return tree
 
 
@@ -223,19 +213,21 @@ def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tupl
     correction = |H~_{k-2}(amb)|^2 / |H~_{k-2}(amb_U)|^2 with amb_U the ridges
     of U over the (k-2)-skeleton.
 
-    Without a ridge tree, U is the star of the minimal vertex when amb is
-    shifted (a cone, hence contractible), else the greedy tree of find_sst.
+    Without a ridge tree, U is the lexicographically first tree of find_sst
+    (on a shifted complex, the star of the minimal vertex). At k = 0 the
+    only ridge is the empty face, U is empty and the correction is 1.
     """
     amb = cx.skeleton(k)
     if not is_apc(amb):
         raise DomainError(NOT_APC_MESSAGE)
-    if ridge_tree is None and k and not is_shifted(amb):
+    if k == 0:
+        if ridge_tree:
+            raise InputError("the ridge set must be empty when k = 0")
+        return amb, (), Fraction(1)
+    if ridge_tree is None:
         U = find_sst(amb, k - 1)  # find_sst checks its own tree
     else:
-        if ridge_tree is not None:
-            U = tuple(tuple(F) for F in ridge_tree)
-        else:
-            U = star_ridges(amb, k - 1, amb.min_vertex) if k else ()
+        U = tuple(tuple(F) for F in ridge_tree)
         if not is_sst(amb, k - 1, U).is_tree:
             raise InputError("the ridge set is not a (k-1)-SST")
     _require(amb.f(k - 1) - len(U) == amb.f(k) - betti(amb, k),
@@ -250,11 +242,6 @@ def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tupl
 def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) -> int:
     """tau_k by the reduced-Laplacian matrix-tree formula, with the torsion
     correction of ridge_tree_reduction always applied."""
-    if k == 0:
-        amb = cx.skeleton(0)
-        if ridge_tree:
-            raise InputError("the ridge set must be empty when k = 0")
-        return bareiss_det(up_down_laplacian(amb, 0))
     amb, U, correction = ridge_tree_reduction(cx, k, ridge_tree)
     tau = bareiss_det(reduced_laplacian(amb, k, U)) * correction
     _require(tau.denominator == 1, "torsion correction is not integral")
@@ -293,23 +280,3 @@ def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> 
             den *= pi(cx, j)
     _require(num % den == 0, "alternating product is not integral")
     return num // den
-
-
-def smtt_identity_report(cx: SimplicialComplex, k: int) -> dict:
-    """Both sides of pi_k = tau_k tau_{k-1} / |H~_{k-2}|^2, recomputed exactly."""
-    amb = cx.skeleton(k)
-    if not is_apc(amb):
-        raise DomainError(NOT_APC_MESSAGE)
-    pk = pi(cx, k)
-    tk = tau_via_reduced_laplacian(cx, k)
-    tk1 = tau_via_reduced_laplacian(cx, k - 1) if k >= 1 else 1
-    h = homology(amb, k - 2).group_order() if k >= 1 else 1
-    _require(h is not None, "torsion order must be finite")
-    return {
-        "k": k,
-        "pi": pk,
-        "tau_k": tk,
-        "tau_k_minus_1": tk1,
-        "h_order": h,
-        "identity_holds": pk * h * h == tk * tk1,
-    }

@@ -4,12 +4,12 @@ Three weighting schemes attach a monomial to each top-dimensional facet F:
 
   facet   an independent indeterminate X{F} per facet;
   coarse  X_F = prod of the per-vertex variables X[v], v in F;
-  fine    X_F = prod over positions m of X[m, F_m], with the raising operator
-          shifting positions for lower-dimensional boundary maps.
+  fine    X_F = prod over positions m of X[m, F_m].
 
-The weighted boundary scales each column of the signed boundary matrix by the
-unsquared facet weight x_F, so the up-down Laplacian carries the squared
-weights X_F that appear in every enumerator.
+The weighted up-down Laplacian is the signed boundary matrix with column F
+scaled by the unsquared weight x_F, times its transpose: the sum over facets
+of X_F bd(F) bd(F)^T, whose entries carry the squared weights X_F that appear
+in every enumerator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import fraction_det
-from .laurent import LaurentPoly, monomial_for_face, poly_sum, raise_op, x_facet
+from .laurent import LaurentPoly, monomial_for_face, poly_sum, x_facet
 from .trees import enumerate_ssts, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
@@ -42,31 +42,6 @@ class SymbolicMatrix:
     def n_cols(self):
         return len(self.cols)
 
-    def entry(self, i, j) -> LaurentPoly:
-        return self.entries[i][j]
-
-    def transpose(self) -> "SymbolicMatrix":
-        return SymbolicMatrix(rows=self.cols, cols=self.rows,
-                              entries=tuple(zip(*self.entries)))
-
-    def matmul(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        if self.cols != other.rows:
-            raise InputError("matrix product needs matching inner labels")
-        k = len(self.cols)
-        out = []
-        for i in range(self.n_rows):
-            row = []
-            for j in range(other.n_cols):
-                acc = LaurentPoly.zero()
-                for t in range(k):
-                    a = self.entries[i][t]
-                    b = other.entries[t][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return SymbolicMatrix(rows=self.rows, cols=other.cols, entries=tuple(out))
-
     def delete_labels(self, labels) -> "SymbolicMatrix":
         drop = {tuple(F) for F in labels}
         ri = [i for i, F in enumerate(self.rows) if F not in drop]
@@ -82,41 +57,30 @@ class SymbolicMatrix:
                 for row in self.entries]
 
 
-def facet_weight(cx: SimplicialComplex, F, scheme: str, squared: bool = True,
-                 raise_by: int = 0) -> LaurentPoly:
-    """The monomial attached to facet F under the given scheme (x_F or X_F)."""
+def facet_weight(F, scheme: str) -> LaurentPoly:
+    """The squared weight X_F attached to facet F under the given scheme."""
     F = tuple(F)
     if scheme == "facet":
-        return x_facet(F, 2 if squared else 1)
-    if scheme == "coarse":
-        return monomial_for_face(F, "coarse", squared)
-    if scheme == "fine":
-        mono = monomial_for_face(F, "fine", squared)
-        return raise_op(mono, raise_by, cx.dim) if raise_by else mono
+        return x_facet(F, 2)
+    if scheme in ("coarse", "fine"):
+        return monomial_for_face(F, scheme, squared=True)
     raise InputError(f"unknown weighting scheme {scheme!r}")
 
 
-def weighted_boundary(cx: SimplicialComplex, k: int, scheme: str) -> SymbolicMatrix:
-    """Column F of bd_k scaled by x_F (fine weighting raises positions by d-k)."""
-    if scheme not in SCHEMES:
-        raise InputError(f"unknown weighting scheme {scheme!r}")
-    d = cx.dim
-    if scheme != "fine" and k != d:
-        raise InputError(f"{scheme} weighting is defined at the top dimension only")
-    bd = cx.boundary_matrix(k)
-    zero = LaurentPoly.zero()
-    entries = [[zero] * bd.n_cols for _ in bd.rows]
-    for j, (F, support) in enumerate(zip(bd.cols, bd.supports)):
-        weight = facet_weight(cx, F, scheme, squared=False, raise_by=d - k)
-        for i, s in support:
-            entries[i][j] = weight * s
-    return SymbolicMatrix(rows=bd.rows, cols=bd.cols, entries=tuple(map(tuple, entries)))
-
-
 def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMatrix:
-    """L-hat = bd-hat_d bd-hat_d^T on C_{d-1}; entries carry the squared weights."""
-    B = weighted_boundary(cx, cx.dim, scheme)
-    return B.matmul(B.transpose())
+    """L-hat = sum over facets F of X_F bd(F) bd(F)^T on C_{d-1}, summed over
+    the boundary columns' supports as in trees.up_down_laplacian."""
+    bd = cx.boundary_matrix(cx.dim)
+    zero = LaurentPoly.zero()
+    L = [[zero] * bd.n_rows for _ in bd.rows]
+    for F, col in zip(bd.cols, bd.supports):
+        XF = facet_weight(F, scheme)
+        signed = {1: XF, -1: -XF}
+        for i, s in col:
+            Li = L[i]
+            for j, t in col:
+                Li[j] = Li[j] + signed[s * t]
+    return SymbolicMatrix(rows=bd.rows, cols=bd.rows, entries=tuple(map(tuple, L)))
 
 
 def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
@@ -182,13 +146,11 @@ def weighted_tau_at_points(cx: SimplicialComplex, scheme: str, assignments,
     return [fraction_det(LU.substitute(a)) * correction for a in assignments]
 
 
-def weighted_oracle(cx: SimplicialComplex, scheme: str,
-                    cap: int | None = None) -> LaurentPoly:
+def weighted_oracle(cx: SimplicialComplex, scheme: str) -> LaurentPoly:
     """Direct sum over enumerated SSTs of torsion^2 times the tree monomial."""
     d = cx.dim
-    kwargs = {"cap": cap} if cap is not None else {}
-    count = enumerate_ssts(cx, d, **kwargs)
-    weights = {F: facet_weight(cx, F, scheme, squared=True) for F in cx.faces_of_dim(d)}
+    count = enumerate_ssts(cx, d)
+    weights = {F: facet_weight(F, scheme) for F in cx.faces_of_dim(d)}
 
     def tree_monomials():
         for facets, torsion in count.per_tree:

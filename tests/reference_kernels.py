@@ -7,8 +7,9 @@ the tests require identical results from both.
 from fractions import Fraction
 from math import gcd
 
-from simtree.laurent import LaurentPoly, monomial_for_face, raise_op
-from simtree.weighted import SymbolicMatrix
+from simtree.errors import InputError
+from simtree.laurent import LaurentPoly, monomial_for_face, raise_op, x_facet
+from simtree.weighted import SCHEMES, SymbolicMatrix
 
 
 def mat_mul(A, B):
@@ -73,7 +74,7 @@ def fraction_kernel_basis(M, n_cols=None):
         for i in range(m):
             if i != r and A[i][c] != 0:
                 f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], pr)]
+                A[i] = [x - f * y if y else x for x, y in zip(A[i], pr)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -98,6 +99,74 @@ def fraction_kernel_basis(M, n_cols=None):
             iv = [x // g for x in iv]
         basis.append(iv)
     return basis
+
+
+def find_sst_reverse_delete(cx, k) -> tuple:
+    """A k-SST by reverse deletion: while the chosen columns of bd_k have a
+    kernel, drop the lexicographically largest k-face carrying a kernel
+    coefficient. Assumes an APC k-skeleton."""
+    amb = cx.skeleton(k)
+    kfaces = amb.faces_of_dim(k)
+    bd = amb.boundary_matrix(k).as_lists()
+    chosen = list(range(len(kfaces)))
+    while True:
+        sub = [[row[j] for j in chosen] for row in bd]
+        kb = fraction_kernel_basis(sub, n_cols=len(chosen))
+        if not kb:
+            break
+        eligible = {chosen[idx] for v in kb for idx, x in enumerate(v) if x != 0}
+        chosen.remove(max(eligible, key=lambda j: kfaces[j]))
+    return tuple(kfaces[j] for j in chosen)
+
+
+def symbolic_transpose(M: SymbolicMatrix) -> SymbolicMatrix:
+    return SymbolicMatrix(rows=M.cols, cols=M.rows, entries=tuple(zip(*M.entries)))
+
+
+def symbolic_matmul(A: SymbolicMatrix, B: SymbolicMatrix) -> SymbolicMatrix:
+    """The dense product of two symbolic matrices with matching inner labels."""
+    if A.cols != B.rows:
+        raise InputError("matrix product needs matching inner labels")
+    out = []
+    for i in range(A.n_rows):
+        row = []
+        for j in range(B.n_cols):
+            acc = LaurentPoly.zero()
+            for t in range(len(A.cols)):
+                a, b = A.entries[i][t], B.entries[t][j]
+                if a and b:
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(tuple(row))
+    return SymbolicMatrix(rows=A.rows, cols=B.cols, entries=tuple(out))
+
+
+def weighted_boundary(cx, k: int, scheme: str) -> SymbolicMatrix:
+    """Column F of bd_k scaled by the unsquared weight x_F (the fine weighting
+    raises positions by d-k; coarse and facet exist at the top dimension only)."""
+    if scheme not in SCHEMES:
+        raise InputError(f"unknown weighting scheme {scheme!r}")
+    d = cx.dim
+    if scheme != "fine" and k != d:
+        raise InputError(f"{scheme} weighting is defined at the top dimension only")
+    bd = cx.boundary_matrix(k)
+    zero = LaurentPoly.zero()
+    entries = [[zero] * bd.n_cols for _ in bd.rows]
+    for j, (F, support) in enumerate(zip(bd.cols, bd.supports)):
+        if scheme == "facet":
+            weight = x_facet(F, 1)
+        else:
+            weight = raise_op(monomial_for_face(F, scheme, squared=False), d - k, d) \
+                if scheme == "fine" and k != d else monomial_for_face(F, scheme, squared=False)
+        for i, s in support:
+            entries[i][j] = weight * s
+    return SymbolicMatrix(rows=bd.rows, cols=bd.cols, entries=tuple(map(tuple, entries)))
+
+
+def weighted_laplacian_product(cx, scheme: str) -> SymbolicMatrix:
+    """L-hat as the dense product of the weighted boundary and its transpose."""
+    B = weighted_boundary(cx, cx.dim, scheme)
+    return symbolic_matmul(B, symbolic_transpose(B))
 
 
 def is_shifted_all_pairs(cx) -> bool:
@@ -162,4 +231,4 @@ def algebraic_fine_laplacian(cx, i: int) -> SymbolicMatrix:
     """LL^ud_i = bd_{i+1} bd*_{i+1} as the product of the boundary matrices
     (the reference for shifted.algebraic_fine_laplacian_entries)."""
     B = algebraic_fine_boundary(cx, i + 1)
-    return B.matmul(B.transpose())
+    return symbolic_matmul(B, symbolic_transpose(B))

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,29 @@ def test_malformed_spectrum_file_exit_1(tmp_path, capsys, text):
     code, out, err = run(capsys, "shifted", "hear", "--spectrum-file", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_zero_dimensional_complex(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text('{"facets": [[1], [2], [3]]}')
+    code, out, _ = run(capsys, "weighted", "--complex", str(path), "--scheme", "coarse")
+    assert (code, out) == (0, "X[1] + X[2] + X[3]")
+    code, out, _ = run(capsys, "count", "--complex", str(path), "--dim", "0")
+    assert (code, out) == (0, '{"tau": 3}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"spectra": {"1": [{"S": [250], "T": [1, 500]}]}}',
+    '{"spectra": {"1": [{"S": [1000000000], "T": [1]}]}}',
+])
+def test_hear_face_cap_exit_3(tmp_path, capsys, text):
+    path = tmp_path / "spectra.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "shifted", "hear", "--spectrum-file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "50000 faces" in err
 
 
 # -- fuzzing the whole command line ------------------------------------------------

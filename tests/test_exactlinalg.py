@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_kernels import char_poly_fraction, fraction_kernel_basis, mat_mul
+from reference_kernels import char_poly_fraction, mat_mul
 
 import simtree
 from simtree.complexes import SimplicialComplex
@@ -20,8 +20,8 @@ from simtree.exactlinalg import (
     homology,
     integer_spectrum_check,
     is_apc,
-    kernel_basis,
     nonzero_eigenvalue_product,
+    pivot_columns,
     rank,
     smith_normal_form,
 )
@@ -136,29 +136,12 @@ def test_rank_of_bipyramid_boundary():
     assert betti(B, 2) == 2  # cross-check f_2 - rank = 2
 
 
-def test_kernel_basis():
-    M = [[1, 1, 0], [0, 0, 0]]
-    kb = kernel_basis(M)
-    assert len(kb) == 2
-    for v in kb:
-        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in M)
-    assert kernel_basis([], n_cols=2) == fraction_kernel_basis([], n_cols=2) == [[1, 0], [0, 1]]
-    assert kernel_basis([[], []], n_cols=0) == []
-
-
-# Mostly zero and unit entries, so that kernels are common.
-sparse_matrices = st.integers(1, 5).flatmap(
-    lambda m: st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
-                                    min_size=n, max_size=n), min_size=m, max_size=m)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(sparse_matrices)
-def test_kernel_basis_matches_fraction_reference(M):
-    basis = kernel_basis(M)
-    assert basis == fraction_kernel_basis(M)
-    assert len(basis) == len(M[0]) - rank(M)
+def test_pivot_columns_examples():
+    # column c is a pivot iff it is independent of the columns before it
+    assert pivot_columns([[1, 1, 0], [0, 0, 1]]) == [0, 2]
+    assert pivot_columns([[0, 2, 4], [0, 1, 2]]) == [1]
+    assert pivot_columns([]) == pivot_columns([[], []]) == []
+    assert rank([[1, 2], [2, 4], [0, 1]]) == len(pivot_columns([[1, 2], [2, 4], [0, 1]])) == 2
 
 
 def test_require_raises_exactness_error():

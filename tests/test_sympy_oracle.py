@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simtree.exactlinalg import bareiss_det, char_poly, rank, smith_normal_form
+from simtree.exactlinalg import bareiss_det, char_poly, pivot_columns, rank, smith_normal_form
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
@@ -12,6 +12,11 @@ entries = st.integers(-9, 9)
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)))
+# Mostly zero and unit entries, so that dependent columns are common.
+sparse = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                                    min_size=n, max_size=n), min_size=m, max_size=m)))
 square = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
 
@@ -26,6 +31,12 @@ def test_det_matches_sympy(M):
 @given(matrices)
 def test_rank_matches_sympy(M):
     assert rank(M) == sympy.Matrix(M).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, sparse))
+def test_pivot_columns_match_sympy_rref(M):
+    assert tuple(pivot_columns(M)) == sympy.Matrix(M).rref()[1]
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,12 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from reference_kernels import dense_up_down_laplacian
+from reference_kernels import dense_up_down_laplacian, find_sst_reverse_delete
 
 from simtree.complexes import SimplicialComplex
-from simtree.corpus import enumerate_shifted_complexes
+from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import DomainError, InputError, ResourceLimitError
-from simtree.exactlinalg import betti, homology
+from simtree.exactlinalg import betti, homology, is_apc
 from simtree.fixtures import (
     bipyramid,
     complete_bipartite,
@@ -24,7 +24,6 @@ from simtree.trees import (
     is_sst,
     pi,
     reduced_laplacian,
-    smtt_identity_report,
     star_ridges,
     tau_via_alternating_product,
     tau_via_reduced_laplacian,
@@ -125,6 +124,34 @@ def test_find_sst_deterministic():
     assert find_sst(bipyramid(), 2) == find_sst(bipyramid(), 2)
 
 
+def test_find_sst_is_reverse_delete_tree():
+    # the pivot columns of bd_k are the tree that deleting the largest face
+    # of a kernel vector, until no kernel is left, leaves
+    fixtures = [bipyramid(), tetrahedron_boundary(), rp2_six_vertices(), two_disjoint_edges(),
+                complete_graph(5), complete_bipartite(3, 4)]
+    skeletons = [simplex_skeleton(n, d) for d in (1, 2, 3) for n in range(d + 1, 8)]
+    pairs = 0
+    for cx in [*enumerate_shifted_complexes(6, 2), *random_apc_2_complexes(100),
+               *fixtures, *skeletons]:
+        for k in range(cx.dim + 1):
+            if is_apc(cx.skeleton(k)):
+                assert find_sst(cx, k) == find_sst_reverse_delete(cx, k)
+                pairs += 1
+    assert pairs > 1200
+
+
+def test_find_sst_of_shifted_skeleton_is_star_of_minimal_vertex():
+    skeletons = [simplex_skeleton(n, d) for d in (1, 2, 3) for n in range(d + 1, 9)]
+    pairs = 0
+    for cx in [*enumerate_shifted_complexes(6, 2), *skeletons]:
+        for k in range(1, cx.dim + 1):
+            amb = cx.skeleton(k)
+            if is_apc(amb):
+                assert find_sst(amb, k - 1) == star_ridges(amb, k - 1, amb.min_vertex)
+                pairs += 1
+    assert pairs > 450
+
+
 def test_tau_reduced_laplacian_examples():
     B = bipyramid()
     assert tau_via_reduced_laplacian(B, 2, star_ridges(B, 1, 1)) == 15
@@ -138,6 +165,7 @@ def test_tau_reduced_laplacian_validates_ridge_tree():
         tau_via_reduced_laplacian(B, 2, [(1, 2), (1, 3), (1, 4), (2, 3)])  # has a cycle
     with pytest.raises(InputError):
         tau_via_reduced_laplacian(B, 0, [(1,)])
+    assert tau_via_reduced_laplacian(B, 0) == tau_via_reduced_laplacian(B, 0, ()) == 5
 
 
 def test_tau_u_independence():
@@ -196,9 +224,11 @@ def test_alternating_product_blocked_by_torsion():
 
 def test_smtt_identity_report():
     for cx in (bipyramid(), rp2_six_vertices(), tetrahedron_boundary()):
-        rep = smtt_identity_report(cx, cx.dim)
-        assert rep["identity_holds"]
-        assert rep["pi"] * rep["h_order"] ** 2 == rep["tau_k"] * rep["tau_k_minus_1"]
+        # pi_k = tau_k tau_{k-1} / |H~_{k-2}|^2
+        k = cx.dim
+        h = homology(cx, k - 2).group_order()
+        assert pi(cx, k) * h * h == \
+            tau_via_reduced_laplacian(cx, k) * tau_via_reduced_laplacian(cx, k - 1)
 
 
 def test_oracle_equivalence_on_fixtures():

@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_kernels import char_poly_fraction, is_symmetric
+from reference_kernels import (
+    char_poly_fraction,
+    is_symmetric,
+    weighted_boundary,
+    weighted_laplacian_product,
+)
 
 from simtree.complexes import SimplicialComplex
+from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import InputError, ResourceLimitError
 from simtree.exactlinalg import homology
 from simtree.fixtures import bipyramid, complete_graph, tetrahedron_boundary
@@ -21,7 +27,6 @@ from simtree.trees import enumerate_ssts, find_sst, star_ridges, tau_via_reduced
 from simtree.weighted import (
     SymbolicMatrix,
     symbolic_det,
-    weighted_boundary,
     weighted_oracle,
     weighted_tau,
     weighted_tau_at_points,
@@ -38,11 +43,11 @@ def coarse_vars(cx):
 def test_weighted_boundary_single_edge_coarse():
     edge = SimplicialComplex.from_facets([[1, 2]])
     wb = weighted_boundary(edge, 1, "coarse")
-    col = [wb.entry(i, 0) for i in range(2)]
+    col = [wb.entries[i][0] for i in range(2)]
     x1x2 = monomial_for_face((1, 2), "coarse", squared=False)
     assert col == [-x1x2, x1x2]
     L = weighted_up_down_laplacian(edge, "coarse")
-    assert L.entry(0, 0) == monomial_for_face((1, 2), "coarse", squared=True)
+    assert L.entries[0][0] == monomial_for_face((1, 2), "coarse", squared=True)
 
 
 def test_weighted_boundary_fine_column():
@@ -51,7 +56,7 @@ def test_weighted_boundary_fine_column():
     j = wb.cols.index((1, 2, 3))
     x123 = monomial_for_face((1, 2, 3), "fine", squared=False)
     for i, row_face in enumerate(wb.rows):
-        e = wb.entry(i, j)
+        e = wb.entries[i][j]
         if row_face in ((2, 3), (1, 2)):
             assert e == x123
         elif row_face == (1, 3):
@@ -83,9 +88,30 @@ def test_weighted_boundary_fine_lower_dimension_raises_positions():
     wb = weighted_boundary(B, 1, "fine")
     j = wb.cols.index((1, 2))
     lifted = raise_op(monomial_for_face((1, 2), "fine", squared=False), 1, B.dim)
-    col = {wb.rows[i]: wb.entry(i, j) for i in range(wb.n_rows)}
+    col = {wb.rows[i]: wb.entries[i][j] for i in range(wb.n_rows)}
     assert col[(2,)] == lifted and col[(1,)] == -lifted
     assert all(col[F].is_zero() for F in wb.rows if F not in ((1,), (2,)))
+
+
+def test_weighted_laplacian_matches_dense_product():
+    fixtures = [bipyramid(), tetrahedron_boundary(), complete_graph(4),
+                SimplicialComplex.from_facets([[1], [2], [3]])]
+    for cx in [*fixtures, *random_apc_2_complexes(5), *enumerate_shifted_complexes(5, 2)]:
+        for scheme in ("fine", "coarse", "facet"):
+            L = weighted_up_down_laplacian(cx, scheme)
+            ref = weighted_laplacian_product(cx, scheme)
+            assert (L.rows, L.cols, L.entries) == (ref.rows, ref.cols, ref.entries)
+    with pytest.raises(InputError):
+        weighted_up_down_laplacian(bipyramid(), "nope")
+
+
+def test_weighted_tau_zero_dimensional():
+    points = SimplicialComplex.from_facets([[1], [2], [3]])
+    for scheme in ("fine", "coarse", "facet"):
+        tau = weighted_tau(points, scheme)
+        assert tau == weighted_oracle(points, scheme)
+        assert tau.all_ones() == tau_via_reduced_laplacian(points, 0) == 3
+    assert weighted_tau(points, "coarse") == poly_sum(X_coarse(v) for v in (1, 2, 3))
 
 
 def test_laplacian_symmetric():
