@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import InputError, _require
+from .errors import InputError, ResourceLimitError, _require
 
 Face = tuple  # tuple[int, ...], strictly increasing
 
@@ -287,14 +287,40 @@ def _ideal_below(gen: Face, p: int):
     yield from rec(0, p)
 
 
+# Shifted complexes are built as unions of order ideals (from generators, or
+# from spectra in shifted.hear_shape); building stops once the faces pass this
+# cap. A new face F counts 2^|F|, itself and the subsets closure builds from
+# it, so a complex on at most 6 vertices, the acceptance scale, counts at most
+# 3^6 = 729.
+SHIFTED_FACE_CAP = 50_000
+
+
+def shifted_ideal_faces(generators, p: int) -> set:
+    """The union of the componentwise order ideals below the generators, with
+    entries >= p. Raises ResourceLimitError once the faces it would build pass
+    SHIFTED_FACE_CAP."""
+    faces = set()
+    built = 0
+    for gen in generators:
+        if gen in faces:
+            continue  # an earlier ideal holds gen, hence all of its ideal
+        for F in _ideal_below(gen, p):
+            if F not in faces:
+                faces.add(F)
+                built += 1 << len(F)
+                if built > SHIFTED_FACE_CAP:
+                    raise ResourceLimitError(
+                        f"the shifted complex would build more than {SHIFTED_FACE_CAP} faces")
+    return faces
+
+
 def shifted_from_generators(generators, p: int) -> SimplicialComplex:
     """The shifted complex generated by the given faces, with minimal vertex p."""
-    faces = set()
-    for gen in generators:
-        G = face(gen)
+    gens = [face(gen) for gen in generators]
+    for G in gens:
         if G and G[0] < p:
             raise InputError(f"generator {G} has a vertex below the minimal vertex {p}")
-        faces.update(_ideal_below(G, p))
+    faces = shifted_ideal_faces(gens, p)
     cx = SimplicialComplex.closure(faces) if faces else SimplicialComplex.empty()
     _require(is_shifted(cx), "generated complex must be shifted")
     return cx

@@ -202,8 +202,31 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def evaluate(self, assignment: dict) -> Fraction:
-        res = self.substitute(assignment)
-        return res.constant_value()
+        """The exact value at an assignment of every variable to an int or a
+        Fraction, summed as one integer numerator over one denominator: a
+        single Fraction per call."""
+        num, den = 0, 1
+        for key, c in self.terms.items():
+            tn, td = c.numerator, c.denominator
+            for vid, e in key:
+                try:
+                    val = assignment[vid]
+                except KeyError:
+                    raise InputError(f"no value for the variable {vid!r}") from None
+                vn, vd = val.numerator, val.denominator
+                if e > 0:
+                    tn *= vn ** e
+                    td *= vd ** e
+                elif vn == 0:
+                    raise ExactnessError("division by zero during Laurent evaluation")
+                else:
+                    tn *= vd ** -e
+                    td *= vn ** -e
+            if td == den:
+                num += tn
+            else:
+                num, den = num * td + tn * den, den * td
+        return Fraction(num, den)
 
     def all_ones(self) -> Fraction:
         return self.substitute({vid: 1 for vid in self.variables()}).constant_value()
@@ -327,11 +350,10 @@ def monomial_for_face(F, weighting: str = "fine", squared: bool = True) -> Laure
     coarse: prod_v x[v].
     """
     step = 2 if squared else 1
-    exps = {}
     if weighting == "fine":
-        for m, j in enumerate(sorted(F), start=1):
-            exps[(FINE, m, j)] = exps.get((FINE, m, j), 0) + step
-    elif weighting == "coarse":
+        return LaurentPoly({fine_face_key(F, 0, step): 1})
+    exps = {}
+    if weighting == "coarse":
         for j in F:
             exps[(COARSE, j)] = exps.get((COARSE, j), 0) + step
     else:
@@ -351,8 +373,40 @@ def poly_sum(polys) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
+def fine_face_key(F, a: int, e: int) -> tuple:
+    """The monomial key of raise^a(x_F^e) for a vertex multiset F: exponent e
+    at x[m + a, F_m] for each position m of sorted F. No cutoff applies here
+    (raise_key applies one)."""
+    return tuple(((FINE, m + a, j), e) for m, j in enumerate(sorted(F), start=1))
+
+
+def key_quotient(num: tuple, *dens: tuple) -> tuple:
+    """The monomial key of num / prod(dens): exponents subtracted, zeros dropped."""
+    exps = dict(num)
+    for den in dens:
+        for vid, e in den:
+            exps[vid] = exps.get(vid, 0) - e
+    return tuple(sorted((vid, e) for vid, e in exps.items() if e))
+
+
+def raise_key(key: tuple, a: int, d_cutoff: int):
+    """One monomial key under the raising operator x[i,j] -> x[i+a,j]; None
+    when the monomial is annihilated. The first variable (in key order)
+    pushed past d_cutoff+1 decides: a positive exponent kills the monomial, a
+    negative one is 1/0."""
+    new = []
+    for (_, i, j), e in key:
+        if i + a > d_cutoff + 1:
+            if e < 0:
+                raise ExactnessError("raising a negative power past the cutoff")
+            return None
+        new.append(((FINE, i + a, j), e))
+    return tuple(new)
+
+
 def raise_op(p: LaurentPoly, a: int, d_cutoff: int) -> LaurentPoly:
-    """The raising operator on fine variables: x[i,j] -> x[i+a,j].
+    """The raising operator on fine variables: x[i,j] -> x[i+a,j], applied to
+    every term by raise_key.
 
     Any term acquiring an index i+a > d_cutoff+1 with positive exponent is
     annihilated (raising a position past the top dimension kills the
@@ -366,19 +420,9 @@ def raise_op(p: LaurentPoly, a: int, d_cutoff: int) -> LaurentPoly:
         raise InputError("raising applies to fine polynomials")
     out = {}
     for key, c in p.terms.items():
-        dead = False
-        new = []
-        for (_, i, j), e in ((vid, e) for vid, e in key):
-            if i + a > d_cutoff + 1:
-                if e < 0:
-                    raise ExactnessError("raising a negative power past the cutoff")
-                dead = True
-                break
-            new.append(((FINE, i + a, j), e))
-        if dead:
-            continue
-        rk = tuple(sorted(new))
-        out[rk] = out.get(rk, Fraction(0)) + c
+        rk = raise_key(key, a, d_cutoff)
+        if rk is not None:
+            out[rk] = out.get(rk, Fraction(0)) + c
     return LaurentPoly(out)
 
 

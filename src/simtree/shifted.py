@@ -14,18 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 
-from .complexes import SimplicialComplex, _ideal_below, is_shifted, vertex_sign
-from .errors import DomainError, InputError, ResourceLimitError, _require
+from .complexes import SimplicialComplex, is_shifted, shifted_ideal_faces
+from .errors import DomainError, ExactnessError, InputError, _require
 from .exactlinalg import betti
-from .laurent import LaurentPoly, X_fine, monomial_for_face, raise_op
+from .laurent import (
+    LaurentPoly,
+    X_fine,
+    fine_face_key,
+    key_quotient,
+    monomial_for_face,
+    raise_key,
+)
 from .weighted import SymbolicMatrix
-
-# hear_shape builds at most this many faces: a face F of its order ideals
-# counts 2^|F|, itself and the subsets the closure builds from it. A complex
-# on at most 6 vertices, the acceptance scale, needs at most 3^6 = 729.
-HEAR_FACE_CAP = 50_000
 
 
 def _check_shifted(cx: SimplicialComplex):
@@ -121,17 +123,24 @@ def lsg_recursive(cx: SimplicialComplex, i: int) -> list:
 # -- z-polynomials and spectra -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _expand_z(S: tuple, T: tuple, shift: int, cutoff: int) -> LaurentPoly:
+    """raise^shift of (sum over j in T of X_{S u j}) / raise(X_S), one
+    monomial key per j."""
     if not T:
         return LaurentPoly.zero()
-    num = LaurentPoly.zero()
+    if S and len(S) > cutoff:
+        raise ExactnessError("division by the zero polynomial")  # raise kills X_S
+    if shift < 0:
+        raise InputError("raising steps must be nonnegative")
+    den = fine_face_key(S, 1, 2)
+    terms = {}
     for j in T:
-        num = num + monomial_for_face(tuple(sorted(S + (j,))), "fine", squared=True)
-    den = raise_op(monomial_for_face(S, "fine", squared=True), 1, cutoff) \
-        if S else LaurentPoly.one()
-    z = num.div_exact(den)
-    return raise_op(z, shift, cutoff) if shift else z
+        key = key_quotient(fine_face_key(S + (j,), 0, 2), den)
+        if shift:
+            key = raise_key(key, shift, cutoff)
+        if key is not None:
+            terms[key] = terms.get(key, 0) + 1
+    return LaurentPoly(terms)
 
 
 @dataclass(frozen=True, order=True)
@@ -217,7 +226,7 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
     the complex is the closure of the componentwise order ideals below all
     short signatures. The result's spectra are recomputed and must match the
     input multisets. Raises ResourceLimitError once the faces it would build
-    pass HEAR_FACE_CAP.
+    pass complexes.SHIFTED_FACE_CAP.
     """
     pairs_by_dim = {}
     for i, spec in spectra.items():
@@ -230,20 +239,8 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
     if len(starts) != 1:
         raise DomainError("inconsistent spectra: mixed initial vertices")
     p = starts.pop()
-    faces = set()
-    built = 0
-    for S, T in all_pairs:
-        sig = tuple(sorted(S + (T[-1],)))
-        if sig in faces:
-            continue  # an earlier ideal holds sig, hence all of its ideal
-        for F in _ideal_below(sig, p):
-            if F not in faces:
-                faces.add(F)
-                built += 1 << len(F)
-                if built > HEAR_FACE_CAP:
-                    raise ResourceLimitError(
-                        f"the reconstruction would build more than {HEAR_FACE_CAP} faces")
-    cx = SimplicialComplex.closure(faces)
+    sigs = [tuple(sorted(S + (T[-1],))) for S, T in all_pairs]
+    cx = SimplicialComplex.closure(shifted_ideal_faces(sigs, p))
     for i, pairs in pairs_by_dim.items():
         got = sorted(lsg_direct(cx.faces_of_dim(i), cx.min_vertex)) \
             if cx.faces_of_dim(i) else []
@@ -454,33 +451,75 @@ def ferrers_via_threshold_zero_substitution(partition) -> LaurentPoly:
 # -- algebraic fine weighting ---------------------------------------------------
 
 
-def algebraic_fine_laplacian_entries(cx: SimplicialComplex, i: int) -> SymbolicMatrix:
-    """LL^ud_i from the closed entry formulas (off-diagonal X_H over the raised
-    x_F x_G, diagonal sum of X_{F u j} over raised X_F); much faster than the
-    product for sweep checks."""
+@dataclass(frozen=True)
+class FineLaplacianFactors:
+    """LL^ud_i = D^-1 B W B^T D^-1 on the i-faces of a d-complex, kept as its
+    factors: B the signed boundary from the (i+1)-faces H to the i-faces F,
+    D = diag(raise^{d-i}(x_F)) and W = diag(raise^{d-i-1}(X_H)), each raised
+    monomial as its exponent key. Entry (F, G) sums B[F,H] B[G,H] W_H / (D_F D_G)
+    over the H whose boundary holds F and G."""
+
+    rows: tuple  # the i-faces F
+    row_keys: tuple  # per F, the key of D_F
+    col_keys: tuple  # per (i+1)-face H, the key of W_H
+    pairs: tuple  # (F index, G index, B[F,H] B[G,H], H index) per boundary pair of each H
+
+    def entry_terms(self):
+        """(F index, G index, sign, key of W_H / (D_F D_G)) per pair."""
+        x, X = self.row_keys, self.col_keys
+        for r, c, s, h in self.pairs:
+            yield r, c, s, key_quotient(X[h], x[r], x[c])
+
+    def variables(self) -> list:
+        """The variables of the entries of LL^ud_i, after cancellation (no two
+        terms of an entry cancel: off the diagonal an entry has one term, on it
+        every sign is +1)."""
+        return sorted({vid for *_, key in self.entry_terms() for vid, _ in key})
+
+    def scaled_char_matrix(self, assignment: dict, y: int) -> tuple:
+        """(y D^2 - B W B^T, prod of the D_F^2) at an integer assignment: the
+        matrix is D (yI - LL^ud_i) D, so its determinant over the product is
+        det(yI - LL^ud_i). A variable missing from the assignment takes the
+        value 1; it may be one that cancels from every entry of LL^ud_i."""
+        def value(key):
+            v = 1
+            for vid, e in key:
+                v *= assignment.get(vid, 1) ** e
+            return v
+
+        d2 = [value(key) ** 2 for key in self.row_keys]
+        w = [value(key) for key in self.col_keys]
+        M = [[0] * len(d2) for _ in d2]
+        for r, x in enumerate(d2):
+            M[r][r] = y * x
+        for r, c, s, h in self.pairs:
+            M[r][c] -= s * w[h]
+        return M, prod(d2)
+
+
+def fine_laplacian_factors(cx: SimplicialComplex, i: int) -> FineLaplacianFactors:
+    """The factors of LL^ud_i. Positions end at most at d+1 (an i-face has
+    i+1 of them, raised by d-i; an (i+1)-face i+2, raised by d-i-1), so the
+    raising kills no monomial."""
     d = cx.dim
-    faces_i = cx.faces_of_dim(i)
-    idx = {F: t for t, F in enumerate(faces_i)}
-    n = len(faces_i)
-    a = d - i - 1
-    z = LaurentPoly.zero()
-    entries = [[z] * n for _ in range(n)]
-    for H in cx.faces_of_dim(i + 1):
-        XH = raise_op(monomial_for_face(H, "fine", squared=True), a, d)
-        raised_x = {}
-        for pos in range(len(H)):
-            F = H[:pos] + H[pos + 1:]
-            raised_x[pos] = raise_op(monomial_for_face(F, "fine", squared=False), a + 1, d)
-        for p1 in range(len(H)):
-            F = H[:p1] + H[p1 + 1:]
-            fi = idx[F]
-            entries[fi][fi] = entries[fi][fi] + XH.div_exact(raised_x[p1] * raised_x[p1])
-            for p2 in range(p1 + 1, len(H)):
-                G = H[:p2] + H[p2 + 1:]
-                gi = idx[G]
-                sign = vertex_sign(H[p1], H) * vertex_sign(H[p2], H)
-                val = XH.div_exact(raised_x[p1] * raised_x[p2]) * sign
-                entries[fi][gi] = entries[fi][gi] + val
-                entries[gi][fi] = entries[gi][fi] + val
-    return SymbolicMatrix(rows=tuple(faces_i), cols=tuple(faces_i),
-                          entries=tuple(tuple(r) for r in entries))
+    bd = cx.boundary_matrix(i + 1)
+    pairs = tuple((r, c, s * t, h) for h, col in enumerate(bd.supports)
+                  for r, s in col for c, t in col)
+    return FineLaplacianFactors(
+        rows=bd.rows,
+        row_keys=tuple(fine_face_key(F, d - i, 1) for F in bd.rows),
+        col_keys=tuple(fine_face_key(H, d - i - 1, 2) for H in bd.cols),
+        pairs=pairs)
+
+
+def algebraic_fine_laplacian_entries(cx: SimplicialComplex, i: int) -> SymbolicMatrix:
+    """LL^ud_i as a matrix of Laurent polynomials, summing the terms of
+    fine_laplacian_factors (off-diagonal X_H over the raised x_F x_G, diagonal
+    sum of X_{F u j} over raised X_F)."""
+    fac = fine_laplacian_factors(cx, i)
+    terms = [[{} for _ in fac.rows] for _ in fac.rows]
+    for r, c, s, key in fac.entry_terms():
+        entry = terms[r][c]
+        entry[key] = entry.get(key, 0) + s
+    return SymbolicMatrix(rows=fac.rows, cols=fac.rows,
+                          entries=tuple(tuple(map(LaurentPoly, row)) for row in terms))

@@ -217,6 +217,8 @@ def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tupl
     (on a shifted complex, the star of the minimal vertex). At k = 0 the
     only ridge is the empty face, U is empty and the correction is 1.
     """
+    if not 0 <= k <= cx.dim:
+        raise InputError(f"tree dimension {k} out of range [0, {cx.dim}]")
     amb = cx.skeleton(k)
     if not is_apc(amb):
         raise DomainError(NOT_APC_MESSAGE)

@@ -25,7 +25,6 @@ from .corpus import (
 from .exactlinalg import (
     bareiss_det,
     betti,
-    fraction_det,
     homology,
     integer_spectrum_check,
     is_apc,
@@ -42,11 +41,11 @@ from .fixtures import (
 )
 from .laurent import LaurentPoly, X_coarse, monomial_for_face
 from .shifted import (
-    algebraic_fine_laplacian_entries,
     critical_pairs,
     ferrers_bipartite_complex,
     ferrers_tau,
     ferrers_via_threshold_zero_substitution,
+    fine_laplacian_factors,
     hear_shape,
     lsg_recursive,
     shifted_spectrum,
@@ -91,26 +90,23 @@ def _assignment(variables, rng) -> dict:
 def spectrum_theorem_holds(cx: SimplicialComplex, i: int, n_subs: int,
                            seed, tag) -> bool:
     """det(yI - LL^ud_{i-1}) == y^m * prod (y - raised z(S,T)) at seeded
-    integer substitutions (both sides exact rationals)."""
+    integer substitutions (both sides exact rationals). With
+    LL^ud_{i-1} = D^-1 B W B^T D^-1, the left side is one integer Bareiss
+    determinant, det(y D^2 - B W B^T), over the integer prod D_F^2."""
     spec = shifted_spectrum(cx, i)
-    L = algebraic_fine_laplacian_entries(cx, i - 1)
-    variables = set()
-    for row in L.entries:
-        for e in row:
-            variables.update(e.variables())
+    fac = fine_laplacian_factors(cx, i - 1)
     zpolys = [z.poly for z in spec.zpolys]
+    variables = set(fac.variables())
     for zp in zpolys:
         variables.update(zp.variables())
     variables = sorted(variables)
-    n = L.n_rows
     rng = _rng(seed, "spectrum", tag, i)
     for _ in range(n_subs):
         assignment = _assignment(variables, rng)
-        y = Fraction(rng.randint(1, 10_000))
-        M = L.substitute(assignment)
-        shifted_M = [[(y if a == b else 0) - M[a][b] for b in range(n)] for a in range(n)]
-        lhs = fraction_det(shifted_M)
-        rhs = y ** spec.zero_multiplicity
+        y = rng.randint(1, 10_000)
+        M, d2 = fac.scaled_char_matrix(assignment, y)
+        lhs = Fraction(bareiss_det(M), d2)
+        rhs = Fraction(y) ** spec.zero_multiplicity
         for zp in zpolys:
             rhs *= y - zp.evaluate(assignment)
         if lhs != rhs:

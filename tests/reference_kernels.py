@@ -227,6 +227,20 @@ def algebraic_fine_boundary(cx, i: int) -> SymbolicMatrix:
                           entries=tuple(tuple(r) for r in entries))
 
 
+def expand_z_reference(S, T, shift: int, cutoff: int) -> LaurentPoly:
+    """z(S,T) = raise^shift((sum over j in T of X_{S u j}) / raise(X_S)) by
+    polynomial add, exact division and raise_op."""
+    if not T:
+        return LaurentPoly.zero()
+    num = LaurentPoly.zero()
+    for j in T:
+        num = num + monomial_for_face(tuple(sorted(S + (j,))), "fine", squared=True)
+    den = raise_op(monomial_for_face(S, "fine", squared=True), 1, cutoff) \
+        if S else LaurentPoly.one()
+    z = num.div_exact(den)
+    return raise_op(z, shift, cutoff) if shift else z
+
+
 def algebraic_fine_laplacian(cx, i: int) -> SymbolicMatrix:
     """LL^ud_i = bd_{i+1} bd*_{i+1} as the product of the boundary matrices
     (the reference for shifted.algebraic_fine_laplacian_entries)."""

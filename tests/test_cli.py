@@ -209,6 +209,29 @@ def test_hear_face_cap_exit_3(tmp_path, capsys, text):
     assert err.startswith("error: ") and "50000 faces" in err
 
 
+@pytest.mark.parametrize("source", ["file", "generators"])
+def test_generators_face_cap_exit_3(tmp_path, capsys, source):
+    if source == "file":
+        path = tmp_path / "generators.json"
+        path.write_text('{"shifted_generators": [[200000, 400000]]}')
+        argv = ("--complex", str(path))
+    else:
+        argv = ("--generators", "1000000000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", *argv, "--dim", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "50000 faces" in err
+
+
+@pytest.mark.parametrize("dim", ["-1", "3"])
+def test_count_laplacian_dimension_out_of_range_exit_1(capsys, dim):
+    code, out, err = run(capsys, "count", "--complex", f"{DATA}/bipyramid.json",
+                         "--dim", dim, "--method", "laplacian")
+    assert (code, out) == (1, "")
+    assert f"error: tree dimension {dim} out of range [0, 2]" in err
+
+
 # -- fuzzing the whole command line ------------------------------------------------
 
 _ints = st.integers(1, 5) | st.integers(-2, 5)

@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_kernels import is_shifted_all_pairs
 
 from simtree.complexes import (
+    SHIFTED_FACE_CAP,
     SimplicialComplex,
     complex_from_json_dict,
     complex_to_json_dict,
@@ -15,7 +17,7 @@ from simtree.complexes import (
     vertex_sign,
 )
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
-from simtree.errors import InputError
+from simtree.errors import InputError, ResourceLimitError
 from simtree.fixtures import (
     bipyramid,
     bipyramid_subcomplex,
@@ -180,6 +182,18 @@ def test_boundary_dimension_range():
 def test_shifted_from_generators_bipyramid():
     assert shifted_from_generators([(2, 3, 5)], 1) == bipyramid()
     assert len(bipyramid().faces_of_dim(2)) == 7
+
+
+@pytest.mark.parametrize("generators", [
+    [(200, 400)],  # O(t^2) edges below (t/2, t)
+    [(10 ** 9,)],
+    [(2, 3), (2, 3), (300, 301)],
+])
+def test_shifted_from_generators_face_cap(generators):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"more than {SHIFTED_FACE_CAP} faces"):
+        shifted_from_generators(generators, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_shifted():

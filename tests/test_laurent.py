@@ -121,6 +121,27 @@ def test_specialize_examples():
         LaurentPoly.one().div_exact(X_coarse(1)).evaluate({("c", 1): 0})
 
 
+_values = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coarse_polys, st.lists(_values, min_size=3, max_size=3),
+       st.sets(st.integers(1, 3), min_size=1))
+def test_evaluate_matches_substitute(p, values, unassigned):
+    full = {("c", j): v for j, v in enumerate(values, start=1)}
+    try:
+        expected = p.substitute(full).constant_value()
+    except ExactnessError:  # zero at a negative exponent
+        with pytest.raises(ExactnessError):
+            p.evaluate(full)
+    else:
+        assert p.evaluate(full) == expected
+    partial = {vid: v or 1 for vid, v in full.items() if vid[1] not in unassigned}
+    if set(p.variables()) - set(partial):
+        with pytest.raises(InputError):
+            p.evaluate(partial)
+
+
 def test_coarse_collapse():
     fine = monomial_for_face((1, 3, 5), "fine")
     assert fine.coarse_collapse() == monomial_for_face((1, 3, 5), "coarse")

@@ -3,15 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from reference_kernels import (
     algebraic_fine_boundary,
     algebraic_fine_laplacian,
+    expand_z_reference,
     scale_row_col,
     symbolic_matmul,
 )
 
 from simtree.complexes import SimplicialComplex, shifted_from_generators
-from simtree.errors import DomainError, InputError
+from simtree.corpus import enumerate_shifted_complexes
+from simtree.errors import DomainError, ExactnessError, InputError
 from simtree.exactlinalg import betti, fraction_det, homology, integer_spectrum_check
 from simtree.fixtures import (
     bipyramid,
@@ -32,6 +35,7 @@ from simtree.shifted import (
     ZPolynomial,
     algebraic_fine_laplacian_entries,
     critical_pairs,
+    fine_laplacian_factors,
     ferrers_bipartite_complex,
     ferrers_tau,
     ferrers_threshold_graph,
@@ -112,6 +116,35 @@ def test_z_poly_multiset_support():
     num = xs(2, 2, 2) + xs(2, 2, 3)
     den = raise_op(xs(2, 2), 1, 3)
     assert z.poly == num.div_exact(den)
+
+
+def test_z_poly_matches_reference_expansion_on_corpus():
+    for cx in enumerate_shifted_complexes(6, 2):
+        for i in range(cx.dim + 1):
+            for z in shifted_spectrum(cx, i).zpolys:
+                assert z.poly == expand_z_reference(z.S, z.T, z.shift, z.cutoff)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ExactnessError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3), st.lists(st.integers(1, 5), max_size=3),
+       st.integers(-1, 3), st.integers(-1, 3))
+@example([], [1], 0, -1)  # no raise: nothing is killed, even past the cutoff
+@example([], [1, 2], 1, 0)  # both terms killed
+@example([1, 2], [3], 0, 1)  # raise(X_S) killed: division by zero
+@example([1], [2], 1, 1)  # a negative exponent raised past the cutoff
+@example([2, 2], [2, 2, 3], 1, 3)  # multisets and a repeated j
+@example([1], [2], -1, 2)  # negative shift
+def test_z_poly_matches_reference_expansion_past_the_cutoff(S, T, shift, cutoff):
+    S, T = tuple(sorted(S)), tuple(sorted(T))
+    assert _outcome(lambda: ZPolynomial(S, T, shift, cutoff).poly) \
+        == _outcome(expand_z_reference, S, T, shift, cutoff)
 
 
 # -- spectra -----------------------------------------------------------------
@@ -426,6 +459,37 @@ def test_algebraic_laplacian_entry_formula_matches_product():
             assert prod.rows == fast.rows
             assert all(a == b for ra, rb in zip(prod.entries, fast.entries)
                        for a, b in zip(ra, rb))
+
+
+def test_scaled_char_matrix_is_d_times_shifted_laplacian_times_d():
+    # y D^2 - B W B^T == D (yI - LL^ud_i) D entrywise, with D and W from
+    # raise_op, and the variable list is that of the symbolic entries
+    rng = random.Random(SEED)
+    for cx in enumerate_shifted_complexes(5, 2):
+        d = cx.dim
+        for i in range(-1, d + 1):
+            fac = fine_laplacian_factors(cx, i)
+            L = algebraic_fine_laplacian_entries(cx, i)
+            assert fac.variables() == sorted({v for row in L.entries for e in row
+                                              for v in e.variables()})
+            D = [raise_op(monomial_for_face(F, "fine", squared=False), d - i, d)
+                 for F in L.rows]
+            W = [raise_op(monomial_for_face(H, "fine", squared=True), d - i - 1, d)
+                 for H in cx.faces_of_dim(i + 1)]
+            variables = sorted({v for p in D + W for v in p.variables()})
+            for _ in range(2):
+                a = {v: rng.randint(1, 10_000) for v in variables}
+                y = rng.randint(1, 10_000)
+                M, d2 = fac.scaled_char_matrix(a, y)
+                Lv = L.substitute(a)
+                Dv = [p.evaluate(a) for p in D]
+                n = len(Dv)
+                assert M == [[Dv[r] * ((y if r == c else 0) - Lv[r][c]) * Dv[c]
+                              for c in range(n)] for r in range(n)]
+                square = 1
+                for x in Dv:
+                    square *= x * x
+                assert d2 == square
 
 
 def test_single_vertex_laplacian():

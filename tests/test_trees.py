@@ -168,6 +168,12 @@ def test_tau_reduced_laplacian_validates_ridge_tree():
     assert tau_via_reduced_laplacian(B, 0) == tau_via_reduced_laplacian(B, 0, ()) == 5
 
 
+def test_tree_dimension_out_of_range_names_k():
+    for k in (-2, -1, 3):
+        with pytest.raises(InputError, match=rf"tree dimension {k} out of range \[0, 2\]"):
+            tau_via_reduced_laplacian(bipyramid(), k)
+
+
 def test_tau_u_independence():
     B = bipyramid()
     trees = [star_ridges(B, 1, 1), find_sst(B, 1),

@@ -105,6 +105,13 @@ def test_weighted_laplacian_matches_dense_product():
         weighted_up_down_laplacian(bipyramid(), "nope")
 
 
+def test_weighted_tau_on_the_empty_complex_names_its_dimension():
+    for route in (lambda cx: weighted_tau(cx, "coarse"),
+                  lambda cx: weighted_tau_at_points(cx, "coarse", [{}])):
+        with pytest.raises(InputError, match=r"tree dimension -1 out of range \[0, -1\]"):
+            route(SimplicialComplex.empty())
+
+
 def test_weighted_tau_zero_dimensional():
     points = SimplicialComplex.from_facets([[1], [2], [3]])
     for scheme in ("fine", "coarse", "facet"):
