@@ -279,10 +279,6 @@ class HomologySummary:
     betti: int
     torsion_order: int
 
-    @property
-    def is_finite(self) -> bool:
-        return self.betti == 0
-
     def group_order(self):
         """|H~| as an int, or None when the group is infinite."""
         return self.torsion_order if self.betti == 0 else None

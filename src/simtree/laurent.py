@@ -1,9 +1,15 @@
-"""Sparse multivariate Laurent polynomials over exact rationals.
+"""Sparse multivariate Laurent polynomials with integer coefficients.
 
 Variable families:
   ('f', i, j)  fine variable x[i,j]   (position i within a face, vertex j)
   ('c', j)     coarse variable x[j]   (one per vertex)
   ('e', F)     facet variable x{F}    (one per facet F, facet-generic weighting)
+
+A polynomial maps monomial keys, sorted tuples of (variable, nonzero
+exponent) pairs built once, to nonzero Python ints; the ring operations
+combine keys without re-sorting them. A Fraction handed to the constructor is
+stored as an int when integral and otherwise stays exact. evaluate returns an
+exact Fraction.
 
 Exponents are stored in x-units: the squared variable X = x^2 is exponent 2.
 A polynomial whose exponents are all even renders and serializes in X-form
@@ -14,41 +20,152 @@ variable kinds.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import getitem
+from struct import Struct
 
-from .errors import ExactnessError, InputError
+from .errors import ExactnessError, InputError, ResourceLimitError
 
 FINE = "f"
 COARSE = "c"
 FACET = "e"
 
 
-def _kind_of_terms(terms) -> str | None:
+def _join_kinds(a, b):
+    """The kind of a result built from operands of kinds a and b."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    raise InputError("polynomial mixes variable kinds")
+
+
+def _exact(c):
+    """An int or Fraction coefficient, an integral value always as an int."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _poly(terms: dict, kind) -> "LaurentPoly":
+    """A polynomial from canonical keys and nonzero coefficients, unchecked.
+    kind is that of the operands; a result left with no variable has none."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    p.kind = kind if kind is not None and any(terms) else None
+    return p
+
+
+class _Pairs(dict):
+    """field -> (vid, field + lo), or None at exponent 0, built on first use."""
+
+    def __init__(self, vid, lo):
+        self.vid, self.lo = vid, lo
+
+    def __missing__(self, field):
+        e = field + self.lo
+        pair = self[field] = (self.vid, e) if e else None
+        return pair
+
+
+def _bounds(keys, scale: int = 1) -> dict:
+    """vid -> scale * (lowest, highest) exponent over the keys, counting 0."""
+    out = {}
+    for key in keys:
+        for vid, e in key:
+            lo, hi = out.get(vid, (0, 0))
+            if e < lo:
+                out[vid] = (e, hi)
+            elif e > hi:
+                out[vid] = (lo, e)
+    return {vid: (scale * lo, scale * hi) for vid, (lo, hi) in out.items()}
+
+
+def _packing(bounds: dict):
+    """(pack, unpack, zero) for exponent vectors within bounds (vid -> lowest,
+    highest exponent). Field i of a packed int, one to eight bytes wide, holds
+    the exponent of the i-th variable in key order minus its lowest, so adding
+    packed keys adds exponent vectors and unpacking yields a sorted key. pack
+    leaves the lowest exponents out: add zero, the packed zero vector, once
+    per sum."""
+    vids = sorted(bounds)
+    bits = max((hi - lo for lo, hi in bounds.values()), default=0).bit_length()
+    width = next((w for w in (1, 2, 4, 8) if bits <= 8 * w), None)
+    if width is None:
+        raise ResourceLimitError("exponent range exceeds 64 bits")
+    shift = {vid: 8 * width * i for i, vid in enumerate(vids)}
+    fields = Struct(f"<{len(vids)}{'BHIQ'[width.bit_length() - 1]}").unpack
+    tables = [_Pairs(vid, bounds[vid][0]) for vid in vids]
+    nbytes = width * len(vids)
+
+    def pack(key) -> int:
+        return sum(e << shift[vid] for vid, e in key)
+
+    def unpack(x: int) -> tuple:
+        return tuple(filter(None, map(getitem, tables, fields(x.to_bytes(nbytes, "little")))))
+
+    return pack, unpack, sum(-bounds[vid][0] << s for vid, s in shift.items())
+
+
+def _product(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
+    """a * b: each product key is the sum of two packed keys."""
+    kind = _join_kinds(a.kind, b.kind)
+    A, B = a.terms, b.terms
+    bounds = _bounds(A)
+    for vid, (lo, hi) in _bounds(B).items():
+        la, ha = bounds.get(vid, (0, 0))
+        bounds[vid] = (la + lo, ha + hi)
+    pack, unpack, zero = _packing(bounds)
+    packed_b = [(pack(k), c) for k, c in B.items()]
+    out = {}
+    get = out.get
+    for ka, ca in A.items():
+        pa = pack(ka) + zero
+        for pb, cb in packed_b:
+            k = pa + pb
+            out[k] = get(k, 0) + ca * cb
+    return _poly({unpack(k): c for k, c in out.items() if c}, kind)
+
+
+def product_sum(factors: list, rows) -> "LaurentPoly":
+    """The sum over rows (indices, c) of c times the product of the factors
+    at the indices, for monomial factors with coefficient 1: one packed sum
+    of keys per row."""
     kind = None
-    for key in terms:
-        for vid, _ in key:
-            if kind is None:
-                kind = vid[0]
-            elif kind != vid[0]:
-                raise InputError("polynomial mixes variable kinds")
-    return kind
+    for f in factors:
+        kind = _join_kinds(kind, f.kind)
+        if list(f.terms.values()) != [1]:
+            raise InputError("product_sum takes monomials with coefficient 1")
+    rows = list(rows)
+    longest = max((len(idx) for idx, _ in rows), default=0)
+    pack, unpack, zero = _packing(_bounds((k for f in factors for k in f.terms), longest))
+    packed = [pack(next(iter(f.terms))) for f in factors]
+    out = {}
+    for idx, c in rows:
+        k = zero + sum([packed[i] for i in idx])
+        out[k] = out.get(k, 0) + c
+    return _poly({unpack(k): _exact(c) for k, c in out.items() if c}, kind)
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial: {exponent-key: nonzero Fraction}."""
+    """Immutable sparse Laurent polynomial: {canonical key: nonzero int}."""
 
     __slots__ = ("terms", "kind")
 
     def __init__(self, terms=None):
         norm = {}
         for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
             key = tuple(sorted((vid, e) for vid, e in key if e != 0))
-            norm[key] = norm.get(key, Fraction(0)) + coeff
-        norm = {k: c for k, c in norm.items() if c != 0}
-        object.__setattr__(self, "terms", norm)
-        object.__setattr__(self, "kind", _kind_of_terms(norm))
+            norm[key] = norm.get(key, 0) + coeff
+        self.terms = {k: _exact(c) for k, c in norm.items() if c != 0}
+        kinds = {vid[0] for key in self.terms for vid, _ in key}
+        if len(kinds) > 1:
+            raise InputError("polynomial mixes variable kinds")
+        self.kind = kinds.pop() if kinds else None
 
     # -- constructors ----------------------------------------------------
 
@@ -58,7 +175,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, q):
-        return cls({(): Fraction(q)})
+        return cls({(): q})
 
     @classmethod
     def one(cls):
@@ -66,19 +183,16 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exps: dict, coeff=1):
-        return cls({tuple(sorted(exps.items())): Fraction(coeff)})
+        return cls({tuple(sorted(exps.items())): coeff})
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if list(self.terms) != [()]:
             raise InputError("polynomial is not constant")
         return self.terms[()]
@@ -88,9 +202,6 @@ class LaurentPoly:
 
     def all_exponents_even(self) -> bool:
         return all(e % 2 == 0 for key in self.terms for _, e in key)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
 
     def has_nonnegative_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 and c >= 0 for c in self.terms.values())
@@ -114,15 +225,21 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentPoly(out)
+        kind = _join_kinds(self.kind, other.kind)
+        small, big = sorted((self.terms, other.terms), key=len)
+        out = dict(big)
+        for key, c in small.items():
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return _poly(out, kind)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
+        return _poly({k: -c for k, c in self.terms.items()}, self.kind)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -133,53 +250,46 @@ class LaurentPoly:
         return LaurentPoly.constant(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return _poly({k: c * other for k, c in self.terms.items()} if other else {},
+                         self.kind)
+        if isinstance(other, Fraction):
             return LaurentPoly({k: c * other for k, c in self.terms.items()})
-        out = {}
-        for k1, c1 in self.terms.items():
-            d1 = dict(k1)
-            for k2, c2 in other.terms.items():
-                merged = dict(d1)
-                for vid, e in k2:
-                    merged[vid] = merged.get(vid, 0) + e
-                key = tuple(sorted((vid, e) for vid, e in merged.items() if e != 0))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            return LaurentPoly.one().div_exact(self ** (-n))
+            raise InputError("negative powers are not supported")
         result = LaurentPoly.one()
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _product(result, base)
             n >>= 1
+            if n:
+                base = _product(base, base)
         return result
 
     def div_exact(self, other) -> "LaurentPoly":
-        """Exact division; monomial divisors always work in the Laurent ring."""
+        """Exact division by a monomial, a unit of the Laurent ring up to its
+        coefficient; an int coefficient that leaves a remainder, or a divisor
+        with more than one term, raises ExactnessError."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if other.is_zero():
             raise ExactnessError("division by the zero polynomial")
-        if other.is_monomial():
-            (dkey, dcoeff), = other.terms.items()
-            ddict = dict(dkey)
-            out = {}
-            for key, c in self.terms.items():
-                merged = dict(key)
-                for vid, e in ddict.items():
-                    merged[vid] = merged.get(vid, 0) - e
-                out[tuple(sorted((v, e) for v, e in merged.items() if e != 0))] = c / dcoeff
-            return LaurentPoly(out)
-        quot, rem = _poly_divmod(self, other)
-        if not rem.is_zero():
-            raise ExactnessError("inexact polynomial division")
-        return quot
+        if len(other.terms) != 1:
+            raise ExactnessError("division by a polynomial that is not a monomial")
+        (dkey, dc), = other.terms.items()
+        _join_kinds(self.kind, other.kind)
+        if dc != 1:
+            self = LaurentPoly({k: _quotient(c, dc) for k, c in self.terms.items()})
+        if not dkey:
+            return self
+        inverse = _poly({tuple((vid, -e) for vid, e in dkey): 1}, other.kind)
+        return _product(self, inverse)
 
     # -- substitution -------------------------------------------------------
 
@@ -198,7 +308,7 @@ class LaurentPoly:
                 else:
                     rest.append((vid, e))
             rk = tuple(rest)
-            out[rk] = out.get(rk, Fraction(0)) + coeff
+            out[rk] = out.get(rk, 0) + coeff
         return LaurentPoly(out)
 
     def evaluate(self, assignment: dict) -> Fraction:
@@ -228,8 +338,9 @@ class LaurentPoly:
                 num, den = num * td + tn * den, den * td
         return Fraction(num, den)
 
-    def all_ones(self) -> Fraction:
-        return self.substitute({vid: 1 for vid in self.variables()}).constant_value()
+    def all_ones(self):
+        """The value at x = 1 for every variable: the sum of the coefficients."""
+        return sum(self.terms.values())
 
     def coarse_collapse(self) -> "LaurentPoly":
         """Drop first subscripts: x[i,j] -> x[j]. Coarse input is returned as-is."""
@@ -240,80 +351,21 @@ class LaurentPoly:
         out = {}
         for key, c in self.terms.items():
             merged = {}
-            for (_, _, j), e in ((vid, e) for vid, e in key):
+            for (_, _, j), e in key:
                 merged[(COARSE, j)] = merged.get((COARSE, j), 0) + e
             rk = tuple(sorted((v, e) for v, e in merged.items() if e != 0))
-            out[rk] = out.get(rk, Fraction(0)) + c
-        return LaurentPoly(out)
+            out[rk] = out.get(rk, 0) + c
+        return _poly({k: c for k, c in out.items() if c}, COARSE)
 
 
-def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
-    """Multivariate division in the Laurent ring.
-
-    Both operands are shifted by their minimal exponent vectors into genuine
-    polynomials, which are divided with the graded-lex order; lead terms that
-    the divisor's lead does not divide go to the remainder.
-    """
-    vars_all = sorted(set(a.variables()) | set(b.variables()))
-    pos = {v: i for i, v in enumerate(vars_all)}
-    nv = len(vars_all)
-
-    def to_vec(key):
-        vec = [0] * nv
-        for vid, e in key:
-            vec[pos[vid]] = e
-        return tuple(vec)
-
-    def shift_down(p):
-        mins = [0] * nv
-        first = True
-        for key in p.terms:
-            vec = to_vec(key)
-            if first:
-                mins = list(vec)
-                first = False
-            else:
-                mins = [min(m, e) for m, e in zip(mins, vec)]
-        shifted = {tuple(x - m for x, m in zip(to_vec(key), mins)): c
-                   for key, c in p.terms.items()}
-        return shifted, mins
-
-    def order(vec):
-        return (sum(vec), vec)
-
-    A, min_a = shift_down(a)
-    B, min_b = shift_down(b)
-    lead_vec = max(B, key=order)
-    lead_coeff = B[lead_vec]
-    quot = {}
-    rem_extra = False
-    work = dict(A)
-    while work:
-        lt = max(work, key=order)
-        if all(x >= y for x, y in zip(lt, lead_vec)):
-            qvec = tuple(x - y for x, y in zip(lt, lead_vec))
-            qc = work[lt] / lead_coeff
-            quot[qvec] = quot.get(qvec, Fraction(0)) + qc
-            for bvec, bc in B.items():
-                tgt = tuple(x + y for x, y in zip(qvec, bvec))
-                nc = work.get(tgt, Fraction(0)) - qc * bc
-                if nc:
-                    work[tgt] = nc
-                else:
-                    work.pop(tgt, None)
-        else:
-            rem_extra = True
-            work.pop(lt)
-    if rem_extra:
-        return LaurentPoly.zero(), LaurentPoly.one()  # inexact marker
-    offset = [x - y for x, y in zip(min_a, min_b)]
-
-    def from_vec(vec):
-        return tuple((vars_all[i], e) for i, e in enumerate(vec) if e != 0)
-
-    out = {from_vec(tuple(x + o for x, o in zip(vec, offset))): c
-           for vec, c in quot.items()}
-    return LaurentPoly(out), LaurentPoly.zero()
+def _quotient(c, d):
+    """c / d exactly; an int quotient must leave no remainder."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        if r:
+            raise ExactnessError("inexact division of a coefficient")
+        return q
+    return Fraction(c) / d
 
 
 # -- variable constructors (X = x^2) ---------------------------------------
@@ -344,14 +396,14 @@ def X_facet(F, exp: int = 1) -> LaurentPoly:
 
 
 def monomial_for_face(F, weighting: str = "fine", squared: bool = True) -> LaurentPoly:
-    """x_F (or X_F) for a sorted vertex multiset F.
+    """x_F (or X_F) for a vertex multiset F, in any order.
 
     fine:   prod_m x[m, F_m] over positions m = 1..|F|;
     coarse: prod_v x[v].
     """
     step = 2 if squared else 1
     if weighting == "fine":
-        return LaurentPoly({fine_face_key(F, 0, step): 1})
+        return _poly({fine_face_key(F, 0, step): 1}, FINE)
     exps = {}
     if weighting == "coarse":
         for j in F:
@@ -364,13 +416,15 @@ def monomial_for_face(F, weighting: str = "fine", squared: bool = True) -> Laure
 def poly_sum(polys) -> LaurentPoly:
     """Sum many polynomials in one accumulation (avoids quadratic dict copying)."""
     acc = {}
+    kind = None
     for p in polys:
         if isinstance(p, (int, Fraction)):
-            acc[()] = acc.get((), Fraction(0)) + p
+            acc[()] = acc.get((), 0) + p
             continue
+        kind = _join_kinds(kind, p.kind)
         for key, c in p.terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return LaurentPoly(acc)
+            acc[key] = acc.get(key, 0) + c
+    return _poly({k: _exact(c) for k, c in acc.items() if c}, kind)
 
 
 def fine_face_key(F, a: int, e: int) -> tuple:
@@ -404,28 +458,6 @@ def raise_key(key: tuple, a: int, d_cutoff: int):
     return tuple(new)
 
 
-def raise_op(p: LaurentPoly, a: int, d_cutoff: int) -> LaurentPoly:
-    """The raising operator on fine variables: x[i,j] -> x[i+a,j], applied to
-    every term by raise_key.
-
-    Any term acquiring an index i+a > d_cutoff+1 with positive exponent is
-    annihilated (raising a position past the top dimension kills the
-    monomial); a negative exponent out of range is 1/0.
-    """
-    if a < 0:
-        raise InputError("raising steps must be nonnegative")
-    if a == 0 or p.is_zero():
-        return p
-    if p.kind not in (None, FINE):
-        raise InputError("raising applies to fine polynomials")
-    out = {}
-    for key, c in p.terms.items():
-        rk = raise_key(key, a, d_cutoff)
-        if rk is not None:
-            out[rk] = out.get(rk, Fraction(0)) + c
-    return LaurentPoly(out)
-
-
 # -- rendering / interchange -------------------------------------------------
 
 
@@ -446,20 +478,24 @@ def canonical_string(p: LaurentPoly) -> str:
     """Deterministic rendering: graded-lex term order, X-form when exponents allow."""
     if p.is_zero():
         return "0"
-    x_form = not p.all_exponents_even()
-    vars_all = p.variables()
-    pos = {vid: idx for idx, vid in enumerate(vars_all)}
+    pairs = set().union(*p.terms)
+    x_form = any(e % 2 for _, e in pairs)
+    texts = {pair: _var_text(*pair, x_form) for pair in pairs}
+    # Graded-lex rank of a key as one int: base-2^w digits, total degree first,
+    # then one digit per variable in key order. Digits are signed but below
+    # 2^(w-1) in size, so comparing ints compares digit vectors.
+    vids = sorted({vid for vid, _ in pairs})
+    w = 2 + (max(map(len, p.terms)) * max((abs(e) for _, e in pairs), default=0)).bit_length()
+    top = 1 << (w * len(vids))
+    weight = {vid: top + (1 << (w * (len(vids) - 1 - i))) for i, vid in enumerate(vids)}
 
-    def sort_key(key):
-        vec = [0] * len(vars_all)
-        for vid, e in key:
-            vec[pos[vid]] = e
-        return (sum(vec), vec)
+    def rank(key):
+        return sum([e * weight[vid] for vid, e in key])
 
     pieces = []
-    for key in sorted(p.terms, key=sort_key, reverse=True):
+    for key in sorted(p.terms, key=rank, reverse=True):
         coeff = p.terms[key]
-        mono = " * ".join(_var_text(vid, e, x_form) for vid, e in key)
+        mono = " * ".join(map(texts.__getitem__, key))
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -467,21 +503,15 @@ def canonical_string(p: LaurentPoly) -> str:
             body = mono
         else:
             body = f"{mag} * {mono}"
-        pieces.append((coeff < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for negative, body in pieces[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+        pieces += (" - " if coeff < 0 else " + "), body
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def poly_to_json_dict(p: LaurentPoly) -> dict:
     x_form = not p.all_exponents_even()
     terms = []
-
-    def sort_key(item):
-        return sorted(item[0])
-
-    for key, coeff in sorted(p.terms.items(), key=sort_key):
+    for key, coeff in sorted(p.terms.items()):  # keys are distinct and sorted
         exps = []
         for vid, e in key:
             shown = e if x_form else e // 2

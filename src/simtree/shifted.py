@@ -25,6 +25,7 @@ from .laurent import (
     fine_face_key,
     key_quotient,
     monomial_for_face,
+    poly_sum,
     raise_key,
 )
 from .weighted import SymbolicMatrix
@@ -262,19 +263,14 @@ def shifted_tau_fine(cx: SimplicialComplex) -> LaurentPoly:
     p = cx.min_vertex
     d = cx.dim
     dele = cx.deletion(p)
-    link = cx.link(p)
-    result = LaurentPoly.one()
-    for F in link.faces_of_dim(d - 1):
-        result = result * monomial_for_face(tuple(sorted(F + (p,))), "fine", squared=True)
-    denom = LaurentPoly.one()
     fam = dele.faces_of_dim(d)
-    for S, T in (lsg_direct(fam, dele.min_vertex) if fam else []):
-        num = LaurentPoly.zero()
-        for j in (p,) + T:
-            num = num + monomial_for_face(tuple(sorted(S + (j,))), "fine", squared=True)
-        result = result * num
-        denom = denom * monomial_for_face(tuple(sorted(S + (p,))), "fine", squared=True)
-    result = result.div_exact(denom)
+    sigs = lsg_direct(fam, dele.min_vertex) if fam else []
+    result = prod((monomial_for_face(F + (p,)) for F in cx.link(p).faces_of_dim(d - 1)),
+                  start=LaurentPoly.one())
+    result = result.div_exact(prod((monomial_for_face(S + (p,)) for S, _ in sigs),
+                                   start=LaurentPoly.one()))
+    for S, T in sigs:
+        result = result * poly_sum(monomial_for_face(S + (j,)) for j in (p,) + T)
     _require(result.has_nonnegative_integer_coeffs() and _all_exps_nonneg(result),
              "fine enumerator must be a genuine polynomial")
     return result
@@ -285,10 +281,7 @@ def _all_exps_nonneg(p: LaurentPoly) -> bool:
 
 
 def coarse_E(t: int) -> LaurentPoly:
-    out = LaurentPoly.zero()
-    for j in range(1, t + 1):
-        out = out + monomial_for_face((j,), "coarse", squared=True)
-    return out
+    return poly_sum(monomial_for_face((j,), "coarse", squared=True) for j in range(1, t + 1))
 
 
 def shifted_tau_coarse(cx: SimplicialComplex) -> LaurentPoly:
@@ -300,23 +293,17 @@ def shifted_tau_coarse(cx: SimplicialComplex) -> LaurentPoly:
     d = cx.dim
     dele = cx.deletion(1)
     link = cx.link(1)
-    cone_link_tops = [tuple(sorted(F + (1,))) for F in link.faces_of_dim(d - 1)]
-    result = LaurentPoly.one()
-    for F in cone_link_tops:
-        result = result * monomial_for_face(F, "coarse", squared=True)
+    result = prod((monomial_for_face(F + (1,), "coarse", squared=True)
+                   for F in link.faces_of_dim(d - 1)), start=LaurentPoly.one())
     cone_del_tops = [tuple(sorted(F + (1,))) for F in dele.faces_of_dim(d)]
     q = cx.vertices[-1]
     degs = [sum(1 for F in cone_del_tops if v in F) for v in range(1, q + 2)]
     x1 = monomial_for_face((1,), "coarse", squared=True)
-    denom_exp = 0
     for t in range(1, q + 1):
         mult = degs[t - 1] - degs[t]
         _require(mult >= 0, "facet degrees of a shifted family must be weakly decreasing")
         if mult:
-            result = result * (coarse_E(t) ** mult)
-            denom_exp += mult
-    if denom_exp:
-        result = result.div_exact(x1 ** denom_exp)
+            result = result * coarse_E(t).div_exact(x1) ** mult
     return result
 
 
@@ -342,10 +329,7 @@ def threshold_tau(cx: SimplicialComplex) -> LaurentPoly:
     conj = conjugate_partition(cx.degree_sequence(1))
     result = edge_monomial(1, n)
     for v in range(2, n):
-        factor = LaurentPoly.zero()
-        for j in range(1, conj[v - 1] + 1):
-            factor = factor + edge_monomial(v, j)
-        result = result * factor
+        result = result * poly_sum(edge_monomial(v, j) for j in range(1, conj[v - 1] + 1))
     return result
 
 
@@ -395,21 +379,12 @@ def ferrers_tau(partition) -> LaurentPoly:
     m = lam[0]
     ell = len(lam)
     conj = conjugate_partition(lam)
-    result = LaurentPoly.one()
-    for r in range(1, m + 1):
-        result = result * X_fine(1, r)
-    for s in range(1, ell + 1):
-        result = result * X_fine(2, s)
+    result = prod([X_fine(1, r) for r in range(1, m + 1)]
+                  + [X_fine(2, s) for s in range(1, ell + 1)], start=LaurentPoly.one())
     for i in range(2, m + 1):
-        factor = LaurentPoly.zero()
-        for r in range(1, conj[i - 1] + 1):
-            factor = factor + X_fine(2, r)
-        result = result * factor
+        result = result * poly_sum(X_fine(2, r) for r in range(1, conj[i - 1] + 1))
     for j in range(2, ell + 1):
-        factor = LaurentPoly.zero()
-        for r in range(1, lam[j - 1] + 1):
-            factor = factor + X_fine(1, r)
-        result = result * factor
+        result = result * poly_sum(X_fine(1, r) for r in range(1, lam[j - 1] + 1))
     return result
 
 
@@ -438,13 +413,9 @@ def ferrers_via_threshold_zero_substitution(partition) -> LaurentPoly:
         factors.append([tuple(sorted((v, j))) for j in range(1, conj[v - 1] + 1)])
     result = LaurentPoly.one()
     for terms in factors:
-        factor = LaurentPoly.zero()
-        for a, b in terms:
-            if b <= m:
-                continue  # clique edge killed by the zero substitution
-            _require(a <= m < b, "a surviving edge must cross the bipartition")
-            factor = factor + X_fine(1, a) * X_fine(2, b - m)
-        result = result * factor
+        kept = [(a, b) for a, b in terms if b > m]  # the zero substitution kills clique edges
+        _require(all(a <= m for a, _ in kept), "a surviving edge must cross the bipartition")
+        result = result * poly_sum(X_fine(1, a) * X_fine(2, b - m) for a, b in kept)
     return result
 
 

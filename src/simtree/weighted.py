@@ -20,7 +20,7 @@ from fractions import Fraction
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import fraction_det
-from .laurent import LaurentPoly, monomial_for_face, poly_sum, x_facet
+from .laurent import LaurentPoly, monomial_for_face, product_sum, x_facet
 from .trees import enumerate_ssts, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
@@ -131,7 +131,8 @@ def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,
     """The weighted spanning-tree enumerator tau-hat_d as an exact polynomial."""
     amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
     LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
-    result = symbolic_det(LU, cap=det_cap) * correction
+    result = symbolic_det(LU, cap=det_cap) * correction.numerator
+    result = result.div_exact(correction.denominator)  # ExactnessError on a remainder
     _require(result.has_nonnegative_integer_coeffs(),
              "weighted enumerator must have nonnegative integer coefficients")
     return result
@@ -150,13 +151,7 @@ def weighted_oracle(cx: SimplicialComplex, scheme: str) -> LaurentPoly:
     """Direct sum over enumerated SSTs of torsion^2 times the tree monomial."""
     d = cx.dim
     count = enumerate_ssts(cx, d)
-    weights = {F: facet_weight(F, scheme) for F in cx.faces_of_dim(d)}
-
-    def tree_monomials():
-        for facets, torsion in count.per_tree:
-            mono = LaurentPoly.constant(torsion * torsion)
-            for F in facets:
-                mono = mono * weights[F]
-            yield mono
-
-    return poly_sum(tree_monomials())
+    facets = cx.faces_of_dim(d)
+    index = {F: i for i, F in enumerate(facets)}
+    rows = [([index[F] for F in T], torsion * torsion) for T, torsion in count.per_tree]
+    return product_sum([facet_weight(F, scheme) for F in facets], rows)

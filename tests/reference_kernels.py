@@ -7,8 +7,8 @@ the tests require identical results from both.
 from fractions import Fraction
 from math import gcd
 
-from simtree.errors import InputError
-from simtree.laurent import LaurentPoly, monomial_for_face, raise_op, x_facet
+from simtree.errors import ExactnessError, InputError
+from simtree.laurent import LaurentPoly, monomial_for_face, raise_key, x_facet
 from simtree.weighted import SCHEMES, SymbolicMatrix
 
 
@@ -117,6 +117,28 @@ def find_sst_reverse_delete(cx, k) -> tuple:
         eligible = {chosen[idx] for v in kb for idx, x in enumerate(v) if x != 0}
         chosen.remove(max(eligible, key=lambda j: kfaces[j]))
     return tuple(kfaces[j] for j in chosen)
+
+
+def raise_op(p: LaurentPoly, a: int, d_cutoff: int) -> LaurentPoly:
+    """The raising operator on fine variables: x[i,j] -> x[i+a,j], applied to
+    every term by raise_key.
+
+    Any term acquiring an index i+a > d_cutoff+1 with positive exponent is
+    annihilated (raising a position past the top dimension kills the
+    monomial); a negative exponent out of range is 1/0.
+    """
+    if a < 0:
+        raise InputError("raising steps must be nonnegative")
+    if a == 0 or p.is_zero():
+        return p
+    if p.kind not in (None, "f"):
+        raise InputError("raising applies to fine polynomials")
+    out = {}
+    for key, c in p.terms.items():
+        rk = raise_key(key, a, d_cutoff)
+        if rk is not None:
+            out[rk] = out.get(rk, 0) + c
+    return LaurentPoly(out)
 
 
 def symbolic_transpose(M: SymbolicMatrix) -> SymbolicMatrix:
@@ -246,3 +268,218 @@ def algebraic_fine_laplacian(cx, i: int) -> SymbolicMatrix:
     (the reference for shifted.algebraic_fine_laplacian_entries)."""
     B = algebraic_fine_boundary(cx, i + 1)
     return symbolic_matmul(B, symbolic_transpose(B))
+
+
+# -- Laurent arithmetic over Fractions -------------------------------------
+
+
+def _kind_of_keys(terms):
+    kinds = {vid[0] for key in terms for vid, _ in key}
+    if len(kinds) > 1:
+        raise InputError("polynomial mixes variable kinds")
+    return kinds.pop() if kinds else None
+
+
+class FractionLaurentPoly:
+    """Laurent polynomials with Fraction coefficients, every key re-sorted by
+    the constructor: the arithmetic simtree.laurent replaces."""
+
+    def __init__(self, terms=None):
+        norm = {}
+        for key, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff == 0:
+                continue
+            key = tuple(sorted((vid, e) for vid, e in key if e != 0))
+            norm[key] = norm.get(key, Fraction(0)) + coeff
+        self.terms = {k: c for k, c in norm.items() if c != 0}
+        self.kind = _kind_of_keys(self.terms)
+
+    def variables(self):
+        return sorted({vid for key in self.terms for vid, _ in key})
+
+    def all_exponents_even(self):
+        return all(e % 2 == 0 for key in self.terms for _, e in key)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return FractionLaurentPoly(out)
+
+    def __neg__(self):
+        return FractionLaurentPoly({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for k1, c1 in self.terms.items():
+            d1 = dict(k1)
+            for k2, c2 in other.terms.items():
+                merged = dict(d1)
+                for vid, e in k2:
+                    merged[vid] = merged.get(vid, 0) + e
+                key = tuple(sorted((vid, e) for vid, e in merged.items() if e != 0))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return FractionLaurentPoly(out)
+
+    def div_exact(self, other):
+        """Division by a monomial; its coefficient divides over the rationals."""
+        if len(other.terms) != 1:
+            raise InputError("the reference divides by monomials only")
+        (dkey, dcoeff), = other.terms.items()
+        out = {}
+        for key, c in self.terms.items():
+            merged = dict(key)
+            for vid, e in dkey:
+                merged[vid] = merged.get(vid, 0) - e
+            out[tuple(sorted((v, e) for v, e in merged.items() if e != 0))] = c / dcoeff
+        return FractionLaurentPoly(out)
+
+
+def _var_text_reference(vid, exp: int, x_form: bool) -> str:
+    kind = vid[0]
+    if kind == "f":
+        body = f"[{vid[1]},{vid[2]}]"
+    elif kind == "c":
+        body = f"[{vid[1]}]"
+    else:
+        body = "{" + ",".join(str(v) for v in vid[1]) + "}"
+    name = "x" if x_form else "X"
+    e = exp if x_form else exp // 2
+    return f"{name}{body}" + (f"^{e}" if e != 1 else "")
+
+
+def canonical_string_reference(p) -> str:
+    """Graded-lex rendering with one exponent vector per term and one text
+    per variable occurrence."""
+    if not p.terms:
+        return "0"
+    x_form = not p.all_exponents_even()
+    vars_all = p.variables()
+    pos = {vid: idx for idx, vid in enumerate(vars_all)}
+
+    def sort_key(key):
+        vec = [0] * len(vars_all)
+        for vid, e in key:
+            vec[pos[vid]] = e
+        return (sum(vec), vec)
+
+    pieces = []
+    for key in sorted(p.terms, key=sort_key, reverse=True):
+        coeff = p.terms[key]
+        mono = " * ".join(_var_text_reference(vid, e, x_form) for vid, e in key)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag} * {mono}"
+        pieces.append((coeff < 0, body))
+    out = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for negative, body in pieces[1:]:
+        out += (" - " if negative else " + ") + body
+    return out
+
+
+def poly_to_json_dict_reference(p) -> dict:
+    x_form = not p.all_exponents_even()
+    terms = []
+    for key, coeff in sorted(p.terms.items(), key=lambda item: sorted(item[0])):
+        exps = []
+        for vid, e in key:
+            shown = e if x_form else e // 2
+            if vid[0] == "f":
+                exps.append([vid[1], vid[2], shown])
+            elif vid[0] == "c":
+                exps.append([vid[1], shown])
+            else:
+                exps.append([list(vid[1]), shown])
+        terms.append({"coeff": str(coeff), "exps": exps})
+    return {"vars": "x" if x_form else "X", "kind": p.kind or "const", "terms": terms}
+
+
+def poly_divmod(a: LaurentPoly, b: LaurentPoly):
+    """Multivariate division in the Laurent ring.
+
+    Both operands are shifted by their minimal exponent vectors into genuine
+    polynomials, which are divided with the graded-lex order; lead terms that
+    the divisor's lead does not divide go to the remainder.
+    """
+    vars_all = sorted(set(a.variables()) | set(b.variables()))
+    pos = {v: i for i, v in enumerate(vars_all)}
+    nv = len(vars_all)
+
+    def to_vec(key):
+        vec = [0] * nv
+        for vid, e in key:
+            vec[pos[vid]] = e
+        return tuple(vec)
+
+    def shift_down(p):
+        mins = [0] * nv
+        first = True
+        for key in p.terms:
+            vec = to_vec(key)
+            if first:
+                mins = list(vec)
+                first = False
+            else:
+                mins = [min(m, e) for m, e in zip(mins, vec)]
+        shifted = {tuple(x - m for x, m in zip(to_vec(key), mins)): Fraction(c)
+                   for key, c in p.terms.items()}
+        return shifted, mins
+
+    def order(vec):
+        return (sum(vec), vec)
+
+    A, min_a = shift_down(a)
+    B, min_b = shift_down(b)
+    lead_vec = max(B, key=order)
+    lead_coeff = B[lead_vec]
+    quot = {}
+    rem_extra = False
+    work = dict(A)
+    while work:
+        lt = max(work, key=order)
+        if all(x >= y for x, y in zip(lt, lead_vec)):
+            qvec = tuple(x - y for x, y in zip(lt, lead_vec))
+            qc = work[lt] / lead_coeff
+            quot[qvec] = quot.get(qvec, Fraction(0)) + qc
+            for bvec, bc in B.items():
+                tgt = tuple(x + y for x, y in zip(qvec, bvec))
+                nc = work.get(tgt, Fraction(0)) - qc * bc
+                if nc:
+                    work[tgt] = nc
+                else:
+                    work.pop(tgt, None)
+        else:
+            rem_extra = True
+            work.pop(lt)
+    if rem_extra:
+        return LaurentPoly.zero(), LaurentPoly.one()  # inexact marker
+    offset = [x - y for x, y in zip(min_a, min_b)]
+
+    def from_vec(vec):
+        return tuple((vars_all[i], e) for i, e in enumerate(vec) if e != 0)
+
+    out = {from_vec(tuple(x + o for x, o in zip(vec, offset))): c
+           for vec, c in quot.items()}
+    return LaurentPoly(out), LaurentPoly.zero()
+
+
+def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Exact division by any nonzero polynomial, over the rationals."""
+    if b.is_zero():
+        raise ExactnessError("division by the zero polynomial")
+    quot, rem = poly_divmod(a, b)
+    if not rem.is_zero():
+        raise ExactnessError("inexact polynomial division")
+    return quot
+
+
+def poly_pow(p: LaurentPoly, n: int) -> LaurentPoly:
+    """p ** n, with a negative n taken as the exact inverse of p ** -n."""
+    if n < 0:
+        return poly_div_exact(LaurentPoly.one(), p ** (-n))
+    return p ** n

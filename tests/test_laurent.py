@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,17 @@ from simtree.laurent import (
     monomial_for_face,
     poly_sum,
     poly_to_json_dict,
-    raise_op,
+    product_sum,
     x_coarse,
     x_fine,
+)
+from reference_kernels import (
+    FractionLaurentPoly,
+    canonical_string_reference,
+    poly_div_exact,
+    poly_pow,
+    poly_to_json_dict_reference,
+    raise_op,
 )
 
 coarse_polys = st.lists(
@@ -45,15 +54,26 @@ def test_monomial_quotient():
 
 def test_inexact_division_raises():
     with pytest.raises(ExactnessError):
-        (X_coarse(1) + X_coarse(2)).div_exact(X_coarse(1) + X_coarse(3))
+        poly_div_exact(X_coarse(1) + X_coarse(2), X_coarse(1) + X_coarse(3))
     with pytest.raises(ExactnessError):
         X_coarse(1).div_exact(LaurentPoly.zero())
+    with pytest.raises(ExactnessError):
+        poly_div_exact(X_coarse(1), LaurentPoly.zero())
+    with pytest.raises(ExactnessError):  # an int coefficient leaves a remainder
+        (3 * X_coarse(1)).div_exact(2 * X_coarse(1))
+    assert (6 * X_coarse(1, 2)).div_exact(-2 * X_coarse(1)) == -3 * X_coarse(1)
+
+
+def test_division_by_a_polynomial_is_refused():
+    a = X_coarse(1, 2) - X_coarse(2, 2)
+    with pytest.raises(ExactnessError, match="not a monomial"):
+        a.div_exact(X_coarse(1) - X_coarse(2))
 
 
 def test_exact_polynomial_division():
     a = X_coarse(1, 2) - X_coarse(2, 2)
     b = X_coarse(1) - X_coarse(2)
-    assert a.div_exact(b) == X_coarse(1) + X_coarse(2)
+    assert poly_div_exact(a, b) == X_coarse(1) + X_coarse(2)
 
 
 def test_mixed_kinds_rejected():
@@ -149,6 +169,8 @@ def test_coarse_collapse():
 
 def test_all_ones():
     assert (X_coarse(1) + 2 * X_coarse(2)).all_ones() == 3
+    assert LaurentPoly.zero().all_ones() == 0
+    assert (X_coarse(1).div_exact(X_coarse(2)) - 4).all_ones() == -3
 
 
 def test_canonical_string_examples():
@@ -189,8 +211,107 @@ def test_poly_sum_matches_repeated_add():
     assert poly_sum(terms) == acc
 
 
+def test_product_sum_matches_products():
+    factors = [X_coarse(1), x_coarse(2, -3), X_coarse(1, 4), LaurentPoly.one(), x_coarse(3)]
+    rows = [([0, 1], 2), ([2, 2, 1], 5), ([], 7), ([3, 0], -2), ([1, 1, 1, 1], 1),
+            ([0], 3), ([4, 1], 0)]
+    expected = poly_sum(c * prod((factors[i] for i in idx), start=LaurentPoly.one())
+                        for idx, c in rows)
+    got = product_sum(factors, rows)
+    assert got == expected and got.kind == "c"
+    assert all(type(c) is int for c in got.terms.values())
+    assert product_sum(factors, []) == LaurentPoly.zero()
+    for bad in ([X_coarse(1) + 1], [2 * X_coarse(1)], [X_coarse(1), X_fine(1, 1)]):
+        with pytest.raises(InputError):
+            product_sum(bad, [([0], 1)])
+
+
 def test_pow():
     e = X_coarse(1) + 1
     assert e ** 0 == LaurentPoly.one()
     assert e ** 3 == e * e * e
-    assert X_coarse(1) ** -1 == LaurentPoly.one().div_exact(X_coarse(1))
+    assert poly_pow(X_coarse(1), -1) == LaurentPoly.one().div_exact(X_coarse(1))
+    with pytest.raises(InputError):
+        X_coarse(1) ** -1
+
+
+def test_integral_fractions_are_stored_as_ints():
+    p = LaurentPoly({(("c", 1),): Fraction(4, 2), (): Fraction(3, 2)})
+    assert [type(c) for c in p.terms.values()] == [int, Fraction]
+    assert type(LaurentPoly.constant(Fraction(6, 3)).constant_value()) is int
+    assert canonical_string(LaurentPoly.constant(Fraction(3, 2))) == "3/2"
+
+
+# -- differential test against the Fraction arithmetic ---------------------
+
+_POOL = {"f": [("f", i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
+         "c": [("c", j) for j in (1, 2, 3, 4)],
+         "e": [("e", F) for F in ((1, 2), (1, 3), (2, 3, 4))]}
+_coeffs = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def laurent_terms(draw, kind=None):
+    """A raw terms dict: keys unsorted, with zero exponents, possibly
+    colliding after normalisation; one variable kind, or rarely several."""
+    kind = kind or draw(st.sampled_from("ffcce") | st.just("mixed"))
+    pool = sum(_POOL.values(), []) if kind == "mixed" else _POOL[kind]
+    keys = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=4).map(
+        lambda exps: tuple(exps.items()))
+    return draw(st.dictionaries(keys, _coeffs, max_size=5))
+
+
+def _run(cls, ta, tb):
+    """The ring operations on cls(ta), cls(tb), or the error they raise."""
+    try:
+        a, b = cls(ta), cls(tb)
+        return [a, a + b, b + a, a * b, b * a, -a, a + (-b), (a * b) * a]
+    except InputError as exc:
+        return str(exc)
+
+
+def _same(new, ref):
+    assert new.terms == ref.terms
+    assert new.kind == ref.kind
+    assert canonical_string(new) == canonical_string_reference(ref)
+    assert poly_to_json_dict(new) == poly_to_json_dict_reference(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_engine_matches_fraction_reference(data):
+    kind = data.draw(st.sampled_from("fce"))
+    ta = data.draw(laurent_terms(kind=data.draw(st.sampled_from([kind, None]))))
+    tb = data.draw(laurent_terms(kind=data.draw(st.sampled_from([kind, None]))))
+    new, ref = _run(LaurentPoly, ta, tb), _run(FractionLaurentPoly, ta, tb)
+    assert type(new) is type(ref)
+    if isinstance(ref, str):  # mixed kinds: the same InputError
+        assert new == ref
+        return
+    for n, r in zip(new, ref):
+        _same(n, r)
+    dkey = data.draw(st.dictionaries(st.sampled_from(_POOL[kind]), st.integers(-3, 3),
+                                     max_size=3))
+    dc = data.draw(st.sampled_from([1, -1, 2, 3, Fraction(1, 2)]))
+    divisor = {tuple(dkey.items()): dc}
+    try:
+        r = FractionLaurentPoly(ta).div_exact(FractionLaurentPoly(divisor))
+    except InputError as exc:  # a divisor of another kind than the dividend
+        with pytest.raises(InputError, match=str(exc)):
+            LaurentPoly(ta).div_exact(LaurentPoly(divisor))
+        return
+    if type(dc) is int and any(type(c) is int and c % dc
+                               for c in LaurentPoly(ta).terms.values()):
+        with pytest.raises(ExactnessError):
+            LaurentPoly(ta).div_exact(LaurentPoly(divisor))
+    else:
+        _same(LaurentPoly(ta).div_exact(LaurentPoly(divisor)), r)
+
+
+def test_engine_results_keep_int_coefficients():
+    a = poly_sum([X_coarse(1), -2 * X_coarse(2), x_coarse(3, -1), 5])
+    b = X_coarse(1) - 3
+    for p in (a + b, a * b, -a, a - b, (a * b).div_exact(-X_coarse(2)), b ** 3,
+              a.coarse_collapse(), poly_sum([a, b, 2])):
+        assert all(type(c) is int for c in p.terms.values())
+    assert type(a.all_ones()) is int

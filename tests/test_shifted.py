@@ -8,6 +8,7 @@ from reference_kernels import (
     algebraic_fine_boundary,
     algebraic_fine_laplacian,
     expand_z_reference,
+    raise_op,
     scale_row_col,
     symbolic_matmul,
 )
@@ -28,7 +29,6 @@ from simtree.laurent import (
     canonical_string,
     monomial_for_face,
     poly_sum,
-    raise_op,
 )
 from simtree.shifted import (
     SpectrumMultiset,

@@ -11,7 +11,7 @@ from reference_kernels import (
 
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
-from simtree.errors import InputError, ResourceLimitError
+from simtree.errors import ExactnessError, InputError, ResourceLimitError
 from simtree.exactlinalg import homology
 from simtree.fixtures import bipyramid, complete_graph, tetrahedron_boundary
 from simtree.laurent import (
@@ -23,8 +23,11 @@ from simtree.laurent import (
     monomial_for_face,
     poly_sum,
 )
+from simtree.shifted import ferrers_tau, shifted_tau_coarse, shifted_tau_fine, threshold_tau
 from simtree.trees import enumerate_ssts, find_sst, star_ridges, tau_via_reduced_laplacian
+from simtree import weighted
 from simtree.weighted import (
+    SCHEMES,
     SymbolicMatrix,
     symbolic_det,
     weighted_oracle,
@@ -82,7 +85,7 @@ def test_weighted_boundary_scheme_restrictions():
 
 def test_weighted_boundary_fine_lower_dimension_raises_positions():
     # at k < d the fine column weight is the raised monomial
-    from simtree.laurent import raise_op
+    from reference_kernels import raise_op
 
     B = bipyramid()
     wb = weighted_boundary(B, 1, "fine")
@@ -247,3 +250,35 @@ def test_weighted_tau_at_points():
     values = weighted_tau_at_points(B, "coarse", assignments)
     tau = weighted_tau(B, "coarse")
     assert values == [tau.evaluate(a) for a in assignments]
+
+
+def _scaled_correction(monkeypatch, factor):
+    """Make ridge_tree_reduction report its correction times factor."""
+    real = weighted.ridge_tree_reduction
+
+    def scaled(cx, k, ridge_tree=None):
+        amb, U, correction = real(cx, k, ridge_tree)
+        return amb, U, correction * factor
+    monkeypatch.setattr(weighted, "ridge_tree_reduction", scaled)
+
+
+def test_weighted_tau_raises_when_the_correction_does_not_divide(monkeypatch):
+    B = bipyramid()
+    expected = weighted_tau(B, "coarse")
+    _scaled_correction(monkeypatch, Fraction(1, 7))
+    with pytest.raises(ExactnessError):
+        weighted_tau(B, "coarse")
+    real_det = weighted.symbolic_det
+    monkeypatch.setattr(weighted, "symbolic_det", lambda M, cap=12: real_det(M, cap) * 7)
+    assert weighted_tau(B, "coarse") == expected
+
+
+def test_enumerator_coefficients_are_ints():
+    B = bipyramid()
+    G = B.skeleton(1)  # a connected threshold graph on [1, 5]
+    polys = [f(cx, s) for f in (weighted_tau, weighted_oracle) for s in SCHEMES
+             for cx in (B, G)]
+    polys += [shifted_tau_fine(B), shifted_tau_coarse(B), shifted_tau_fine(G),
+              shifted_tau_coarse(G), threshold_tau(G), ferrers_tau((3, 2, 2))]
+    for p in polys:
+        assert p.terms and all(type(c) is int for c in p.terms.values())
