@@ -266,10 +266,10 @@ class LaurentPoly:
         base = self
         while n:
             if n & 1:
-                result = _product(result, base)
+                result = result * base
             n >>= 1
             if n:
-                base = _product(base, base)
+                base = base * base
         return result
 
     def div_exact(self, other) -> "LaurentPoly":
