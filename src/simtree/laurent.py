@@ -284,12 +284,11 @@ class LaurentPoly:
             raise ExactnessError("division by a polynomial that is not a monomial")
         (dkey, dc), = other.terms.items()
         _join_kinds(self.kind, other.kind)
-        if dc != 1:
-            self = LaurentPoly({k: _quotient(c, dc) for k, c in self.terms.items()})
+        num = self if dc == 1 else LaurentPoly(
+            {k: _quotient(c, dc) for k, c in self.terms.items()})
         if not dkey:
-            return self
-        inverse = _poly({tuple((vid, -e) for vid, e in dkey): 1}, other.kind)
-        return _product(self, inverse)
+            return num
+        return _product(num, _poly({tuple((vid, -e) for vid, e in dkey): 1}, other.kind))
 
     # -- substitution -------------------------------------------------------
 
