@@ -69,8 +69,8 @@ class _Pairs(dict):
         return pair
 
 
-def _bounds(keys, scale: int = 1) -> dict:
-    """vid -> scale * (lowest, highest) exponent over the keys, counting 0."""
+def _bounds(keys) -> dict:
+    """vid -> (lowest, highest) exponent over the keys, counting 0."""
     out = {}
     for key in keys:
         for vid, e in key:
@@ -79,7 +79,7 @@ def _bounds(keys, scale: int = 1) -> dict:
                 out[vid] = (e, hi)
             elif e > hi:
                 out[vid] = (lo, e)
-    return {vid: (scale * lo, scale * hi) for vid, (lo, hi) in out.items()}
+    return out
 
 
 def _packing(bounds: dict):
@@ -139,7 +139,9 @@ def product_sum(factors: list, rows) -> "LaurentPoly":
             raise InputError("product_sum takes monomials with coefficient 1")
     rows = list(rows)
     longest = max((len(idx) for idx, _ in rows), default=0)
-    pack, unpack, zero = _packing(_bounds((k for f in factors for k in f.terms), longest))
+    bounds = _bounds(k for f in factors for k in f.terms)
+    pack, unpack, zero = _packing({vid: (longest * lo, longest * hi)
+                                   for vid, (lo, hi) in bounds.items()})
     packed = [pack(next(iter(f.terms))) for f in factors]
     out = {}
     for idx, c in rows:
