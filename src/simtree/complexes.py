@@ -46,15 +46,6 @@ def face_label(F: Face) -> str:
     return ",".join(str(v) for v in F)
 
 
-def vertex_sign(v: int, F: Face) -> int:
-    """epsilon(v, F) = (-1)^(j+1) when v is the j-th smallest vertex of F, else 0."""
-    try:
-        j = F.index(v) + 1
-    except ValueError:
-        return 0
-    return -1 if j % 2 == 0 else 1
-
-
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """Signed boundary map from k-faces (columns) to (k-1)-faces (rows)."""

@@ -7,13 +7,13 @@ and B covering A componentwise (one coordinate bumped by 1). Its long
 signature (S, T) has S = the prefix strictly below the bumped coordinate and
 T = the interval from the family's initial vertex up to the bumped value. The
 z-polynomial z(S,T) = (1/raise(X_S)) * sum_{j in T} X_{S u j} attached to each
-long signature is a Laplacian eigenvalue of the algebraic fine weighting.
+long signature is a Laplacian eigenvalue of the algebraic fine weighting,
+whose Laplacian is the trees.LaplacianFactors of fine_laplacian_factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .complexes import SimplicialComplex, is_shifted, shifted_ideal_faces
@@ -28,6 +28,7 @@ from .laurent import (
     poly_sum,
     raise_key,
 )
+from .trees import LaplacianFactors
 from .weighted import SymbolicMatrix
 
 
@@ -161,9 +162,6 @@ class ZPolynomial:
     def coarse_part(self) -> int:
         """Size t of the coarse specialization E_t = X_1 + ... + X_t."""
         return len(self.T)
-
-    def evaluate(self, assignment) -> Fraction:
-        return self.poly.evaluate(assignment)
 
 
 def z_poly(S, T, d_cutoff: int) -> ZPolynomial:
@@ -422,75 +420,20 @@ def ferrers_via_threshold_zero_substitution(partition) -> LaurentPoly:
 # -- algebraic fine weighting ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FineLaplacianFactors:
-    """LL^ud_i = D^-1 B W B^T D^-1 on the i-faces of a d-complex, kept as its
-    factors: B the signed boundary from the (i+1)-faces H to the i-faces F,
-    D = diag(raise^{d-i}(x_F)) and W = diag(raise^{d-i-1}(X_H)), each raised
-    monomial as its exponent key. Entry (F, G) sums B[F,H] B[G,H] W_H / (D_F D_G)
-    over the H whose boundary holds F and G."""
-
-    rows: tuple  # the i-faces F
-    row_keys: tuple  # per F, the key of D_F
-    col_keys: tuple  # per (i+1)-face H, the key of W_H
-    pairs: tuple  # (F index, G index, B[F,H] B[G,H], H index) per boundary pair of each H
-
-    def entry_terms(self):
-        """(F index, G index, sign, key of W_H / (D_F D_G)) per pair."""
-        x, X = self.row_keys, self.col_keys
-        for r, c, s, h in self.pairs:
-            yield r, c, s, key_quotient(X[h], x[r], x[c])
-
-    def variables(self) -> list:
-        """The variables of the entries of LL^ud_i, after cancellation (no two
-        terms of an entry cancel: off the diagonal an entry has one term, on it
-        every sign is +1)."""
-        return sorted({vid for *_, key in self.entry_terms() for vid, _ in key})
-
-    def scaled_char_matrix(self, assignment: dict, y: int) -> tuple:
-        """(y D^2 - B W B^T, prod of the D_F^2) at an integer assignment: the
-        matrix is D (yI - LL^ud_i) D, so its determinant over the product is
-        det(yI - LL^ud_i). A variable missing from the assignment takes the
-        value 1; it may be one that cancels from every entry of LL^ud_i."""
-        def value(key):
-            v = 1
-            for vid, e in key:
-                v *= assignment.get(vid, 1) ** e
-            return v
-
-        d2 = [value(key) ** 2 for key in self.row_keys]
-        w = [value(key) for key in self.col_keys]
-        M = [[0] * len(d2) for _ in d2]
-        for r, x in enumerate(d2):
-            M[r][r] = y * x
-        for r, c, s, h in self.pairs:
-            M[r][c] -= s * w[h]
-        return M, prod(d2)
-
-
-def fine_laplacian_factors(cx: SimplicialComplex, i: int) -> FineLaplacianFactors:
-    """The factors of LL^ud_i. Positions end at most at d+1 (an i-face has
-    i+1 of them, raised by d-i; an (i+1)-face i+2, raised by d-i-1), so the
-    raising kills no monomial."""
+def fine_laplacian_factors(cx: SimplicialComplex, i: int) -> LaplacianFactors:
+    """LL^ud_i = D^-1 B W B^T D^-1 on the i-faces of a d-complex: B = bd_{i+1},
+    W_H = raise^{d-i-1}(X_H) and D_F = raise^{d-i}(x_F). Positions end at most
+    at d+1 (an i-face has i+1 of them, raised by d-i; an (i+1)-face i+2,
+    raised by d-i-1), so the raising kills no monomial."""
     d = cx.dim
     bd = cx.boundary_matrix(i + 1)
-    pairs = tuple((r, c, s * t, h) for h, col in enumerate(bd.supports)
-                  for r, s in col for c, t in col)
-    return FineLaplacianFactors(
-        rows=bd.rows,
-        row_keys=tuple(fine_face_key(F, d - i, 1) for F in bd.rows),
-        col_keys=tuple(fine_face_key(H, d - i - 1, 2) for H in bd.cols),
-        pairs=pairs)
+    return LaplacianFactors(bd, tuple(fine_face_key(F, d - i, 1) for F in bd.rows),
+                            tuple(fine_face_key(H, d - i - 1, 2) for H in bd.cols))
 
 
 def algebraic_fine_laplacian_entries(cx: SimplicialComplex, i: int) -> SymbolicMatrix:
-    """LL^ud_i as a matrix of Laurent polynomials, summing the terms of
+    """LL^ud_i as a matrix of Laurent polynomials, the symbolic reader of
     fine_laplacian_factors (off-diagonal X_H over the raised x_F x_G, diagonal
     sum of X_{F u j} over raised X_F)."""
     fac = fine_laplacian_factors(cx, i)
-    terms = [[{} for _ in fac.rows] for _ in fac.rows]
-    for r, c, s, key in fac.entry_terms():
-        entry = terms[r][c]
-        entry[key] = entry.get(key, 0) + s
-    return SymbolicMatrix(rows=fac.rows, cols=fac.rows,
-                          entries=tuple(tuple(map(LaurentPoly, row)) for row in terms))
+    return SymbolicMatrix(fac.boundary.rows, fac.boundary.rows, fac.symbolic_entries())

@@ -6,16 +6,19 @@ T together with the full (k-1)-skeleton has vanishing top homology, finite
 codimension-1 homology, and the forced facet count; any two of the three
 conditions imply the third ("two out of three"). All counts here are exact:
 tau_k weights each tree by the squared order of its codimension-1 torsion.
+
+Every Laplacian in simtree is a LaplacianFactors D^-1 B W B^T D^-1, read as
+an integer matrix at a point or as Laurent polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
-from .complexes import SimplicialComplex
-from .errors import DomainError, InputError, ResourceLimitError, _require
+from .complexes import BoundaryMatrix, SimplicialComplex
+from .errors import DomainError, ExactnessError, InputError, ResourceLimitError, _require
 from .exactlinalg import (
     HomologySummary,
     bareiss_det,
@@ -28,6 +31,7 @@ from .exactlinalg import (
     rank,
     smith_normal_form,
 )
+from .laurent import _poly, key_quotient
 
 DEFAULT_SUBSET_CAP = 2_000_000
 
@@ -53,17 +57,79 @@ class TreeCount:
     per_tree: tuple | None  # ((facet_set, torsion_order), ...) or None
 
 
+def _key_value(key: tuple, point):
+    """The exact value of a monomial key at a point, an int when integral."""
+    v = 1
+    for vid, e in key:
+        try:
+            v *= point[vid] ** e if e > 0 else Fraction(1, point[vid] ** -e)
+        except KeyError:
+            raise InputError(f"no value for the variable {vid!r}") from None
+        except ZeroDivisionError:
+            raise ExactnessError("division by zero during Laurent evaluation") from None
+    return v if type(v) is int or v.denominator > 1 else v.numerator
+
+
+@dataclass(frozen=True)
+class LaplacianFactors:
+    """L = D^-1 B W B^T D^-1 kept as its factors: B = bd_k, and the monomial
+    keys of W_h per k-face h and of D_r per (k-1)-face r (() is 1). Entry
+    (r, c) sums B[r,h] B[c,h] W_h / (D_r D_c) over the k-faces h."""
+
+    boundary: BoundaryMatrix
+    row_keys: tuple
+    col_keys: tuple
+
+    def at_point(self, point) -> tuple:
+        """(M, scale) at a point of int or Fraction values: the integer matrix
+        M = lam B W B^T, lam the lcm of the weights' denominators, and the
+        exact scale[r] = lam D_r^2. So det(L_S) = det(M_S) / prod(scale on S)."""
+        w, d = ([_key_value(k, point) for k in keys] if any(keys) else [1] * len(keys)
+                for keys in (self.col_keys, self.row_keys))
+        lam = lcm(*(x.denominator for x in w if type(x) is not int))
+        if lam > 1:
+            w = [(x * lam).numerator for x in w]
+        M = [[0] * len(d) for _ in d]
+        for wh, col in zip(w, self.boundary.supports):
+            for r, s in col:
+                Mr, ws = M[r], wh * s
+                for c, t in col:
+                    Mr[c] += ws * t
+        return M, [lam * x * x for x in d]
+
+    def _terms(self) -> list:
+        """Per entry, {key of W_h / (D_r D_c): sum of B[r,h] B[c,h]}. No two
+        terms cancel: off the diagonal an entry has one, on it signs are +1."""
+        x = self.row_keys
+        terms = [[{} for _ in x] for _ in x]
+        for W, col in zip(self.col_keys, self.boundary.supports):
+            for r, s in col:
+                for c, t in col:
+                    key = key_quotient(W, x[r], x[c]) if x[r] or x[c] else W
+                    terms[r][c][key] = terms[r][c].get(key, 0) + s * t
+        return terms
+
+    def symbolic_entries(self) -> tuple:
+        """The entries of L as Laurent polynomials, row-major."""
+        kind = next((key[0][0][0] for key in (*self.col_keys, *self.row_keys) if key), None)
+        return tuple(tuple(_poly(e, kind) for e in row) for row in self._terms())
+
+    def variables(self) -> list:
+        """The variables of the entries of L, after cancellation."""
+        return sorted({vid for row in self._terms() for e in row for key in e for vid, _ in key})
+
+
 def up_down_laplacian(cx: SimplicialComplex, k: int):
-    """L = bd_k bd_k^T acting on C_{k-1} (an f_{k-1} x f_{k-1} integer matrix),
-    summed as the outer products of the boundary columns' supports."""
+    """L = bd_k bd_k^T acting on C_{k-1} (an f_{k-1} x f_{k-1} integer matrix):
+    the integer reader of the factors with every key ()."""
     bd = cx.boundary_matrix(k)
-    L = [[0] * bd.n_rows for _ in bd.rows]
-    for col in bd.supports:
-        for i, s in col:
-            Li = L[i]
-            for j, t in col:
-                Li[j] += s * t
-    return L
+    return LaplacianFactors(bd, ((),) * bd.n_rows, ((),) * bd.n_cols).at_point({})[0]
+
+
+def kept_indices(labels, drop) -> list:
+    """The indices of the labels (faces) that are not in drop."""
+    drop = {tuple(F) for F in drop}
+    return [i for i, F in enumerate(labels) if F not in drop]
 
 
 def star_ridges(cx: SimplicialComplex, k: int, p: int) -> tuple:
@@ -99,11 +165,7 @@ def is_sst(cx: SimplicialComplex, k: int, facet_set) -> SstResult:
     _require(sum(conds) != 2, "two-out-of-three violated")
     cert = None
     if all(conds):
-        torsion = 1
-        if k >= 2:
-            for d in smith_normal_form(sub):
-                if d > 1:
-                    torsion *= d
+        torsion = prod(smith_normal_form(sub)) if k >= 2 else 1
         cert = SstCertificate(facet_set=tuple(T),
                               homology_below=HomologySummary(k - 1, 0, torsion))
     return SstResult(is_tree=all(conds), conditions=conds, certificate=cert)
@@ -173,12 +235,7 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     tau = 0
     per_tree = []
     for idxs in results:
-        torsion = 1
-        if k >= 2:
-            sub = _submatrix_columns(bd, list(idxs))
-            for d in smith_normal_form(sub):
-                if d > 1:
-                    torsion *= d
+        torsion = prod(smith_normal_form(_submatrix_columns(bd, idxs))) if k >= 2 else 1
         tau += torsion * torsion
         if include_trees:
             per_tree.append((tuple(kfaces[j] for j in idxs), torsion))
@@ -200,9 +257,7 @@ def find_sst(cx: SimplicialComplex, k: int) -> tuple:
 def reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree) -> list:
     """Delete the rows/columns of L^ud_{k-1} indexed by the ridge tree."""
     amb = cx.skeleton(k)
-    ridges = amb.faces_of_dim(k - 1)
-    drop = {tuple(F) for F in ridge_tree}
-    keep = [i for i, F in enumerate(ridges) if F not in drop]
+    keep = kept_indices(amb.faces_of_dim(k - 1), ridge_tree)
     L = up_down_laplacian(amb, k)
     return [[L[i][j] for j in keep] for i in keep]
 
@@ -273,12 +328,7 @@ def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> 
         if h.betti != 0 or h.torsion_order != 1:
             raise DomainError(
                 f"alternating product needs vanishing H~_{j - 2} at level {j}")
-    num = 1
-    den = 1
-    for j in range(0, d + 1):
-        if (d - j) % 2 == 0:
-            num *= pi(cx, j)
-        else:
-            den *= pi(cx, j)
+    num = prod(pi(cx, j) for j in range(d, -1, -2))
+    den = prod(pi(cx, j) for j in range(d - 1, -1, -2))
     _require(num % den == 0, "alternating product is not integral")
     return num // den

@@ -6,22 +6,23 @@ Three weighting schemes attach a monomial to each top-dimensional facet F:
   coarse  X_F = prod of the per-vertex variables X[v], v in F;
   fine    X_F = prod over positions m of X[m, F_m].
 
-The weighted up-down Laplacian is the signed boundary matrix with column F
-scaled by the unsquared weight x_F, times its transpose: the sum over facets
-of X_F bd(F) bd(F)^T, whose entries carry the squared weights X_F that appear
-in every enumerator.
+The weighted up-down Laplacian, the sum over facets of X_F bd(F) bd(F)^T, is
+a trees.LaplacianFactors with the key of X_F per column and () per row:
+weighted_tau reads it symbolically, weighted_tau_at_points as one integer
+matrix per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
-from .exactlinalg import fraction_det
+from .exactlinalg import bareiss_det
 from .laurent import LaurentPoly, monomial_for_face, product_sum, x_facet
-from .trees import enumerate_ssts, ridge_tree_reduction
+from .trees import LaplacianFactors, enumerate_ssts, kept_indices, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
 
@@ -43,18 +44,12 @@ class SymbolicMatrix:
         return len(self.cols)
 
     def delete_labels(self, labels) -> "SymbolicMatrix":
-        drop = {tuple(F) for F in labels}
-        ri = [i for i, F in enumerate(self.rows) if F not in drop]
-        ci = [j for j, F in enumerate(self.cols) if F not in drop]
+        ri = kept_indices(self.rows, labels)
+        ci = kept_indices(self.cols, labels)
         return SymbolicMatrix(
             rows=tuple(self.rows[i] for i in ri),
             cols=tuple(self.cols[j] for j in ci),
             entries=tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
-
-    def substitute(self, assignment) -> list:
-        """Numeric matrix of Fractions at an exact-rational assignment."""
-        return [[e.evaluate(assignment) if e else Fraction(0) for e in row]
-                for row in self.entries]
 
 
 def facet_weight(F, scheme: str) -> LaurentPoly:
@@ -67,20 +62,18 @@ def facet_weight(F, scheme: str) -> LaurentPoly:
     raise InputError(f"unknown weighting scheme {scheme!r}")
 
 
-def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMatrix:
-    """L-hat = sum over facets F of X_F bd(F) bd(F)^T on C_{d-1}, summed over
-    the boundary columns' supports as in trees.up_down_laplacian."""
+def weighted_laplacian_factors(cx: SimplicialComplex, scheme: str) -> LaplacianFactors:
+    """The factors of L-hat: bd_d with the key of X_F for each facet F."""
     bd = cx.boundary_matrix(cx.dim)
-    zero = LaurentPoly.zero()
-    L = [[zero] * bd.n_rows for _ in bd.rows]
-    for F, col in zip(bd.cols, bd.supports):
-        XF = facet_weight(F, scheme)
-        signed = {1: XF, -1: -XF}
-        for i, s in col:
-            Li = L[i]
-            for j, t in col:
-                Li[j] = Li[j] + signed[s * t]
-    return SymbolicMatrix(rows=bd.rows, cols=bd.rows, entries=tuple(map(tuple, L)))
+    keys = tuple(next(iter(facet_weight(F, scheme).terms)) for F in bd.cols)
+    return LaplacianFactors(bd, ((),) * bd.n_rows, keys)
+
+
+def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMatrix:
+    """L-hat = sum over facets F of X_F bd(F) bd(F)^T on C_{d-1}, the symbolic
+    reader of weighted_laplacian_factors."""
+    fac = weighted_laplacian_factors(cx, scheme)
+    return SymbolicMatrix(fac.boundary.rows, fac.boundary.rows, fac.symbolic_entries())
 
 
 def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
@@ -108,7 +101,6 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
             return cached
         acc = LaurentPoly.zero()
         sign = 1
-        i = 0
         rest = mask
         while rest:
             low = rest & (-rest)
@@ -119,7 +111,6 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
                 acc = acc + (term if sign > 0 else -term)
             sign = -sign
             rest ^= low
-            i += 1
         memo[mask] = acc
         return acc
 
@@ -141,10 +132,14 @@ def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,
 def weighted_tau_at_points(cx: SimplicialComplex, scheme: str, assignments,
                            ridge_tree=None) -> list:
     """Evaluation mode for matrices above the symbolic cap: the exact value of
-    tau-hat at each assignment, via numeric determinants."""
+    tau-hat at each assignment (int or Fraction values), one integer Bareiss
+    determinant of the reduced weighted Laplacian per point."""
     amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
-    LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
-    return [fraction_det(LU.substitute(a)) * correction for a in assignments]
+    fac = weighted_laplacian_factors(amb, scheme)
+    keep = kept_indices(fac.boundary.rows, U)
+    return [Fraction(bareiss_det([[M[i][j] for j in keep] for i in keep]),
+                     prod(scale[i] for i in keep)) * correction
+            for M, scale in map(fac.at_point, assignments)]
 
 
 def weighted_oracle(cx: SimplicialComplex, scheme: str) -> LaurentPoly:

@@ -8,8 +8,33 @@ from fractions import Fraction
 from math import gcd
 
 from simtree.errors import ExactnessError, InputError
+from simtree.exactlinalg import fraction_det
 from simtree.laurent import LaurentPoly, monomial_for_face, raise_key, x_facet
-from simtree.weighted import SCHEMES, SymbolicMatrix
+from simtree.trees import ridge_tree_reduction
+from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
+
+
+def vertex_sign(v: int, F) -> int:
+    """epsilon(v, F) = (-1)^(j+1) when v is the j-th smallest vertex of F, else 0."""
+    try:
+        j = F.index(v) + 1
+    except ValueError:
+        return 0
+    return -1 if j % 2 == 0 else 1
+
+
+def substitute(M: SymbolicMatrix, assignment) -> list:
+    """Numeric matrix of Fractions at an exact-rational assignment."""
+    return [[e.evaluate(assignment) if e else Fraction(0) for e in row]
+            for row in M.entries]
+
+
+def weighted_tau_at_points_reference(cx, scheme: str, assignments, ridge_tree=None) -> list:
+    """tau-hat at each assignment by the symbolic reduced Laplacian, substituted
+    entry by entry, and a determinant over Q."""
+    amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
+    return [fraction_det(substitute(LU, a)) * correction for a in assignments]
 
 
 def mat_mul(A, B):

@@ -149,6 +149,15 @@ def test_verify_quick(capsys):
     assert "13/13 criteria passed" in out
 
 
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_verify_refuses_an_empty_corpus(capsys, bound):
+    # below one vertex criteria 8, 10 and 11 would pass on nothing
+    for extra in ((), ("--quick",)):
+        code, out, err = run(capsys, "verify", "--max-vertices", bound, *extra)
+        assert (code, out) == (1, "")
+        assert err == f"error: max_vertices must be at least 1, got {bound}\n"
+
+
 @pytest.mark.parametrize("text", [
     '{"facets": 5}',
     '{"facets": [[1, "2"]]}',

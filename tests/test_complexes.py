@@ -3,7 +3,7 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_kernels import is_shifted_all_pairs
+from reference_kernels import is_shifted_all_pairs, vertex_sign
 
 from simtree.complexes import (
     SHIFTED_FACE_CAP,
@@ -14,7 +14,6 @@ from simtree.complexes import (
     face_label,
     is_shifted,
     shifted_from_generators,
-    vertex_sign,
 )
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import InputError, ResourceLimitError

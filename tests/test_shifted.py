@@ -10,6 +10,7 @@ from reference_kernels import (
     expand_z_reference,
     raise_op,
     scale_row_col,
+    substitute,
     symbolic_matmul,
 )
 
@@ -247,7 +248,7 @@ def test_cone_spectrum_formula():
             for _ in range(4):
                 assignment = {v: rng.randint(1, 10_000) for v in variables}
                 y = Fraction(rng.randint(1, 10_000))
-                M = L.substitute(assignment)
+                M = substitute(L, assignment)
                 shifted_M = [[(y if r == c else 0) - M[r][c] for c in range(n)]
                              for r in range(n)]
                 lhs = fraction_det(shifted_M)
@@ -452,7 +453,7 @@ def test_algebraic_boundary_squares_to_zero():
 
 
 def test_algebraic_laplacian_entry_formula_matches_product():
-    for cx in (bipyramid(), bipyramid_subcomplex(3)):
+    for cx in (bipyramid(), bipyramid_subcomplex(3), *enumerate_shifted_complexes(5, 2)):
         for i in range(-1, cx.dim + 1):
             prod = algebraic_fine_laplacian(cx, i)
             fast = algebraic_fine_laplacian_entries(cx, i)
@@ -463,7 +464,8 @@ def test_algebraic_laplacian_entry_formula_matches_product():
 
 def test_scaled_char_matrix_is_d_times_shifted_laplacian_times_d():
     # y D^2 - B W B^T == D (yI - LL^ud_i) D entrywise, with D and W from
-    # raise_op, and the variable list is that of the symbolic entries
+    # raise_op and B W B^T and D^2 from the integer reader, and the variable
+    # list is that of the symbolic entries
     rng = random.Random(SEED)
     for cx in enumerate_shifted_complexes(5, 2):
         d = cx.dim
@@ -480,8 +482,13 @@ def test_scaled_char_matrix_is_d_times_shifted_laplacian_times_d():
             for _ in range(2):
                 a = {v: rng.randint(1, 10_000) for v in variables}
                 y = rng.randint(1, 10_000)
-                M, d2 = fac.scaled_char_matrix(a, y)
-                Lv = L.substitute(a)
+                BWBt, scale = fac.at_point(a)
+                M = [[(y * x if r == c else 0) - v for c, v in enumerate(row)]
+                     for r, (row, x) in enumerate(zip(BWBt, scale))]
+                d2 = 1
+                for x in scale:
+                    d2 *= x
+                Lv = substitute(L, a)
                 Dv = [p.evaluate(a) for p in D]
                 n = len(Dv)
                 assert M == [[Dv[r] * ((y if r == c else 0) - Lv[r][c]) * Dv[c]

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from reference_kernels import dense_up_down_laplacian, find_sst_reverse_delete
 
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
-from simtree.errors import DomainError, InputError, ResourceLimitError
+from simtree.errors import DomainError, ExactnessError, InputError, ResourceLimitError
 from simtree.exactlinalg import betti, homology, is_apc
 from simtree.fixtures import (
     bipyramid,
@@ -18,7 +19,9 @@ from simtree.fixtures import (
     tetrahedron_boundary,
     two_disjoint_edges,
 )
+from simtree.laurent import LaurentPoly
 from simtree.trees import (
+    LaplacianFactors,
     enumerate_ssts,
     find_sst,
     is_sst,
@@ -264,3 +267,27 @@ def test_up_down_laplacian_matches_dense_product():
         for k in (-1, cx.dim + 2):
             with pytest.raises(InputError):
                 up_down_laplacian(cx, k)
+
+
+def test_integer_reader_evaluates_keys_as_laurent_monomials():
+    # keys with negative exponents at int and Fraction points: each key's
+    # value is the monomial's, and lam is the lcm of the weights' denominators
+    bd = complete_graph(3).boundary_matrix(1)
+    keys = ((), ((("c", 1), 2),), ((("c", 1), -1), (("c", 2), 3)))
+    row_key = ((("c", 2), -1),)
+    fac = LaplacianFactors(bd, (row_key,) * bd.n_rows, keys)
+    for point in ({("c", 1): 3, ("c", 2): -2}, {("c", 1): Fraction(2, 3), ("c", 2): 5},
+                  {("c", 1): Fraction(-1, 2), ("c", 2): Fraction(4, 7)}):
+        w = [LaurentPoly({key: 1}).evaluate(point) for key in keys]
+        d = LaurentPoly({row_key: 1}).evaluate(point)
+        lam = 1
+        for x in w:
+            lam = lam * x.denominator // gcd(lam, x.denominator)
+        M, scale = fac.at_point(point)
+        assert M == [[sum(lam * x * s * t for x, col in zip(w, bd.supports)
+                          for r2, s in col if r2 == r for c2, t in col if c2 == c)
+                      for c in range(bd.n_rows)] for r in range(bd.n_rows)]
+        assert all(type(v) is int for row in M for v in row)
+        assert scale == [lam * d * d] * 3
+    with pytest.raises(ExactnessError, match="division by zero"):
+        fac.at_point({("c", 1): 0, ("c", 2): 1})

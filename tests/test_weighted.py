@@ -5,15 +5,24 @@ import pytest
 from reference_kernels import (
     char_poly_fraction,
     is_symmetric,
+    substitute,
     weighted_boundary,
     weighted_laplacian_product,
+    weighted_tau_at_points_reference,
 )
 
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import ExactnessError, InputError, ResourceLimitError
-from simtree.exactlinalg import homology
-from simtree.fixtures import bipyramid, complete_graph, tetrahedron_boundary
+from simtree.exactlinalg import homology, is_apc
+from simtree.fixtures import (
+    bipyramid,
+    complete_bipartite,
+    complete_graph,
+    rp2_six_vertices,
+    simplex_skeleton,
+    tetrahedron_boundary,
+)
 from simtree.laurent import (
     LaurentPoly,
     X_coarse,
@@ -23,13 +32,21 @@ from simtree.laurent import (
     monomial_for_face,
     poly_sum,
 )
-from simtree.shifted import ferrers_tau, shifted_tau_coarse, shifted_tau_fine, threshold_tau
+from simtree.shifted import (
+    ferrers_tau,
+    fine_laplacian_factors,
+    shifted_tau_coarse,
+    shifted_tau_fine,
+    threshold_tau,
+)
 from simtree.trees import enumerate_ssts, find_sst, star_ridges, tau_via_reduced_laplacian
 from simtree import weighted
 from simtree.weighted import (
     SCHEMES,
     SymbolicMatrix,
+    facet_weight,
     symbolic_det,
+    weighted_laplacian_factors,
     weighted_oracle,
     weighted_tau,
     weighted_tau_at_points,
@@ -238,7 +255,7 @@ def test_weighted_smtt_eigenvalue_form():
         L = weighted_up_down_laplacian(cx, "coarse")
         for _ in range(5):
             assignment = {("c", v): rng.randint(1, 10_000) for v in cx.vertices}
-            pi_hat = _product_of_nonzero_eigenvalues(L.substitute(assignment))
+            pi_hat = _product_of_nonzero_eigenvalues(substitute(L, assignment))
             assert pi_hat == Fraction(tau_hat.evaluate(assignment) * tau_below, h * h)
 
 
@@ -250,6 +267,42 @@ def test_weighted_tau_at_points():
     values = weighted_tau_at_points(B, "coarse", assignments)
     tau = weighted_tau(B, "coarse")
     assert values == [tau.evaluate(a) for a in assignments]
+
+
+def test_weighted_tau_at_points_matches_the_substitution_route():
+    # one integer Bareiss determinant per point == the symbolic reduced
+    # Laplacian substituted entry by entry, then a determinant over Q
+    fixtures = [bipyramid(), rp2_six_vertices(), complete_graph(4), complete_bipartite(2, 3),
+                simplex_skeleton(5, 2), SimplicialComplex.from_facets([[1], [2], [3]])]
+    assert all(is_apc(cx) for cx in fixtures)
+    corpus = [cx for cx in enumerate_shifted_complexes(5, 2) if cx.dim >= 0 and is_apc(cx)]
+    rng = random.Random(SEED)
+    for cx in [*fixtures, *corpus, *random_apc_2_complexes(5)]:
+        for scheme in SCHEMES:
+            variables = sorted({v for F in cx.faces_of_dim(cx.dim)
+                                for v in facet_weight(F, scheme).variables()})
+            points = [{v: rng.randint(1, 10_000) for v in variables} for _ in range(2)]
+            points.append({v: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                           for v in variables})
+            points.append({v: 0 if n == 0 else rng.randint(1, 10_000)
+                           for n, v in enumerate(variables)})
+            got = weighted_tau_at_points(cx, scheme, points)
+            assert got == weighted_tau_at_points_reference(cx, scheme, points)
+    assert len(corpus) > 20
+
+
+def test_a_missing_variable_raises_input_error():
+    B = bipyramid()
+    point = {("c", v): 2 for v in B.vertices[1:]}
+    message = r"no value for the variable \('c', 1\)"
+    with pytest.raises(InputError, match=message):
+        weighted_tau_at_points(B, "coarse", [point])
+    with pytest.raises(InputError, match=message):
+        weighted_laplacian_factors(B, "coarse").at_point(point)
+    with pytest.raises(InputError, match="no value for the variable"):
+        fine_laplacian_factors(B, 1).at_point({})
+    with pytest.raises(InputError, match=message):
+        weighted_tau_at_points_reference(B, "coarse", [point])
 
 
 def _scaled_correction(monkeypatch, factor):
