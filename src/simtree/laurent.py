@@ -11,6 +11,12 @@ combine keys without re-sorting them. A Fraction handed to the constructor is
 stored as an int when integral and otherwise stays exact. evaluate returns an
 exact Fraction.
 
+A chain of products runs in one packed layout (_packing): each key becomes one
+int with a fixed-width field per variable, the bounds are the factors'
+exponent ranges summed, each factor is packed once, and only the result is
+unpacked. product, and through it * and div_exact, is one such chain;
+weighted.symbolic_det is another.
+
 Exponents are stored in x-units: the squared variable X = x^2 is exponent 2.
 A polynomial whose exponents are all even renders and serializes in X-form
 (exponents halved); anything else renders in x-form. A polynomial never mixes
@@ -82,13 +88,22 @@ def _bounds(keys) -> dict:
     return out
 
 
-def _packing(bounds: dict):
-    """(pack, unpack, zero) for exponent vectors within bounds (vid -> lowest,
-    highest exponent). Field i of a packed int, one to eight bytes wide, holds
-    the exponent of the i-th variable in key order minus its lowest, so adding
-    packed keys adds exponent vectors and unpacking yields a sorted key. pack
-    leaves the lowest exponents out: add zero, the packed zero vector, once
-    per sum."""
+def _packing(groups):
+    """(kind, pack, unpack, zero) for sums of packed keys that take one key
+    from each group of polynomials. The bounds are the groups' exponent
+    ranges summed; each range counts 0, so every partial sum fits as well.
+    Field i of a packed int, one to eight bytes wide, holds the exponent of
+    the i-th variable in key order minus its lowest, so adding packed keys
+    adds exponent vectors and unpacking yields a sorted key. pack leaves the
+    lowest exponents out: add zero, the packed zero vector, once per sum."""
+    kind = None
+    bounds = {}
+    for group in groups:
+        for p in group:
+            kind = _join_kinds(kind, p.kind)
+        for vid, (lo, hi) in _bounds(k for p in group for k in p.terms).items():
+            la, ha = bounds.get(vid, (0, 0))
+            bounds[vid] = (la + lo, ha + hi)
     vids = sorted(bounds)
     bits = max((hi - lo for lo, hi in bounds.values()), default=0).bit_length()
     width = next((w for w in (1, 2, 4, 8) if bits <= 8 * w), None)
@@ -105,43 +120,37 @@ def _packing(bounds: dict):
     def unpack(x: int) -> tuple:
         return tuple(filter(None, map(getitem, tables, fields(x.to_bytes(nbytes, "little")))))
 
-    return pack, unpack, sum(-bounds[vid][0] << s for vid, s in shift.items())
+    return kind, pack, unpack, sum(-bounds[vid][0] << s for vid, s in shift.items())
 
 
-def _product(a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
-    """a * b: each product key is the sum of two packed keys."""
-    kind = _join_kinds(a.kind, b.kind)
-    A, B = a.terms, b.terms
-    bounds = _bounds(A)
-    for vid, (lo, hi) in _bounds(B).items():
-        la, ha = bounds.get(vid, (0, 0))
-        bounds[vid] = (la + lo, ha + hi)
-    pack, unpack, zero = _packing(bounds)
-    packed_b = [(pack(k), c) for k, c in B.items()]
-    out = {}
-    get = out.get
-    for ka, ca in A.items():
-        pa = pack(ka) + zero
-        for pb, cb in packed_b:
-            k = pa + pb
-            out[k] = get(k, 0) + ca * cb
-    return _poly({unpack(k): c for k, c in out.items() if c}, kind)
+def product(factors) -> "LaurentPoly":
+    """The product of the polynomials in one packed layout: each factor is
+    packed once, the partial products stay packed, and only the result is
+    unpacked. The empty product is 1."""
+    factors = list(factors)
+    kind, pack, unpack, zero = _packing([f] for f in factors)
+    acc = {zero: 1}
+    for f in factors:
+        packed = [(pack(k), c) for k, c in f.terms.items()]
+        out = {}
+        get = out.get
+        for ka, ca in acc.items():
+            for kb, cb in packed:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        acc = {k: c for k, c in out.items() if c}
+    return _poly({unpack(k): c for k, c in acc.items()}, kind)
 
 
 def product_sum(factors: list, rows) -> "LaurentPoly":
     """The sum over rows (indices, c) of c times the product of the factors
     at the indices, for monomial factors with coefficient 1: one packed sum
     of keys per row."""
-    kind = None
-    for f in factors:
-        kind = _join_kinds(kind, f.kind)
-        if list(f.terms.values()) != [1]:
-            raise InputError("product_sum takes monomials with coefficient 1")
+    if any(list(f.terms.values()) != [1] for f in factors):
+        raise InputError("product_sum takes monomials with coefficient 1")
     rows = list(rows)
     longest = max((len(idx) for idx, _ in rows), default=0)
-    bounds = _bounds(k for f in factors for k in f.terms)
-    pack, unpack, zero = _packing({vid: (longest * lo, longest * hi)
-                                   for vid, (lo, hi) in bounds.items()})
+    kind, pack, unpack, zero = _packing([factors] * max(longest, 1))  # every factor, used or not
     packed = [pack(next(iter(f.terms))) for f in factors]
     out = {}
     for idx, c in rows:
@@ -257,7 +266,7 @@ class LaurentPoly:
                          self.kind)
         if isinstance(other, Fraction):
             return LaurentPoly({k: c * other for k, c in self.terms.items()})
-        return _product(self, other)
+        return product([self, other])
 
     __rmul__ = __mul__
 
@@ -290,7 +299,7 @@ class LaurentPoly:
             {k: _quotient(c, dc) for k, c in self.terms.items()})
         if not dkey:
             return num
-        return _product(num, _poly({tuple((vid, -e) for vid, e in dkey): 1}, other.kind))
+        return product([num, _poly({tuple((vid, -e) for vid, e in dkey): 1}, other.kind)])
 
     # -- substitution -------------------------------------------------------
 

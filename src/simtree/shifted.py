@@ -14,18 +14,19 @@ whose Laplacian is the trees.LaplacianFactors of fine_laplacian_factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .complexes import SimplicialComplex, is_shifted, shifted_ideal_faces
 from .errors import DomainError, ExactnessError, InputError, _require
 from .exactlinalg import betti
 from .laurent import (
+    FINE,
     LaurentPoly,
     X_fine,
     fine_face_key,
     key_quotient,
     monomial_for_face,
     poly_sum,
+    product,
     raise_key,
 )
 from .trees import LaplacianFactors
@@ -263,12 +264,10 @@ def shifted_tau_fine(cx: SimplicialComplex) -> LaurentPoly:
     dele = cx.deletion(p)
     fam = dele.faces_of_dim(d)
     sigs = lsg_direct(fam, dele.min_vertex) if fam else []
-    result = prod((monomial_for_face(F + (p,)) for F in cx.link(p).faces_of_dim(d - 1)),
-                  start=LaurentPoly.one())
-    result = result.div_exact(prod((monomial_for_face(S + (p,)) for S, _ in sigs),
-                                   start=LaurentPoly.one()))
-    for S, T in sigs:
-        result = result * poly_sum(monomial_for_face(S + (j,)) for j in (p,) + T)
+    result = product([monomial_for_face(F + (p,)) for F in cx.link(p).faces_of_dim(d - 1)]
+                     + [LaurentPoly({fine_face_key(S + (p,), 0, -2): 1}) for S, _ in sigs]
+                     + [poly_sum(monomial_for_face(S + (j,)) for j in (p,) + T)
+                        for S, T in sigs])
     _require(result.has_nonnegative_integer_coeffs() and _all_exps_nonneg(result),
              "fine enumerator must be a genuine polynomial")
     return result
@@ -291,8 +290,8 @@ def shifted_tau_coarse(cx: SimplicialComplex) -> LaurentPoly:
     d = cx.dim
     dele = cx.deletion(1)
     link = cx.link(1)
-    result = prod((monomial_for_face(F + (1,), "coarse", squared=True)
-                   for F in link.faces_of_dim(d - 1)), start=LaurentPoly.one())
+    factors = [monomial_for_face(F + (1,), "coarse", squared=True)
+               for F in link.faces_of_dim(d - 1)]
     cone_del_tops = [tuple(sorted(F + (1,))) for F in dele.faces_of_dim(d)]
     q = cx.vertices[-1]
     degs = [sum(1 for F in cone_del_tops if v in F) for v in range(1, q + 2)]
@@ -301,8 +300,8 @@ def shifted_tau_coarse(cx: SimplicialComplex) -> LaurentPoly:
         mult = degs[t - 1] - degs[t]
         _require(mult >= 0, "facet degrees of a shifted family must be weakly decreasing")
         if mult:
-            result = result * coarse_E(t).div_exact(x1) ** mult
-    return result
+            factors += [coarse_E(t).div_exact(x1)] * mult
+    return product(factors)
 
 
 # -- threshold graphs ------------------------------------------------------------
@@ -325,10 +324,9 @@ def threshold_tau(cx: SimplicialComplex) -> LaurentPoly:
         raise DomainError("threshold graph is not connected")
     n = cx.vertices[-1]
     conj = conjugate_partition(cx.degree_sequence(1))
-    result = edge_monomial(1, n)
-    for v in range(2, n):
-        result = result * poly_sum(edge_monomial(v, j) for j in range(1, conj[v - 1] + 1))
-    return result
+    return product([edge_monomial(1, n)]
+                   + [poly_sum(edge_monomial(v, j) for j in range(1, conj[v - 1] + 1))
+                      for v in range(2, n)])
 
 
 def threshold_graph_from_degrees(degrees) -> SimplicialComplex:
@@ -377,13 +375,12 @@ def ferrers_tau(partition) -> LaurentPoly:
     m = lam[0]
     ell = len(lam)
     conj = conjugate_partition(lam)
-    result = prod([X_fine(1, r) for r in range(1, m + 1)]
-                  + [X_fine(2, s) for s in range(1, ell + 1)], start=LaurentPoly.one())
-    for i in range(2, m + 1):
-        result = result * poly_sum(X_fine(2, r) for r in range(1, conj[i - 1] + 1))
-    for j in range(2, ell + 1):
-        result = result * poly_sum(X_fine(1, r) for r in range(1, lam[j - 1] + 1))
-    return result
+    return product([X_fine(1, r) for r in range(1, m + 1)]
+                   + [X_fine(2, s) for s in range(1, ell + 1)]
+                   + [poly_sum(X_fine(2, r) for r in range(1, conj[i - 1] + 1))
+                      for i in range(2, m + 1)]
+                   + [poly_sum(X_fine(1, r) for r in range(1, lam[j - 1] + 1))
+                      for j in range(2, ell + 1)])
 
 
 def ferrers_threshold_graph(partition) -> SimplicialComplex:
@@ -409,12 +406,13 @@ def ferrers_via_threshold_zero_substitution(partition) -> LaurentPoly:
     factors = [[(1, n)]]
     for v in range(2, n):
         factors.append([tuple(sorted((v, j))) for j in range(1, conj[v - 1] + 1)])
-    result = LaurentPoly.one()
+    sums = []
     for terms in factors:
         kept = [(a, b) for a, b in terms if b > m]  # the zero substitution kills clique edges
         _require(all(a <= m for a, _ in kept), "a surviving edge must cross the bipartition")
-        result = result * poly_sum(X_fine(1, a) * X_fine(2, b - m) for a, b in kept)
-    return result
+        sums.append(poly_sum(LaurentPoly.monomial({(FINE, 1, a): 2, (FINE, 2, b - m): 2})
+                             for a, b in kept))
+    return product(sums)
 
 
 # -- algebraic fine weighting ---------------------------------------------------

@@ -115,8 +115,18 @@ class LaplacianFactors:
         return tuple(tuple(_poly(e, kind) for e in row) for row in self._terms())
 
     def variables(self) -> list:
-        """The variables of the entries of L, after cancellation."""
-        return sorted({vid for row in self._terms() for e in row for key in e for vid, _ in key})
+        """The variables of the entries of L: those with a nonzero exponent in
+        some W_h / (D_r D_c), since no two terms cancel (see _terms)."""
+        x = self.row_keys
+        found = set()
+        for W, col in zip(self.col_keys, self.boundary.supports):
+            for i, (r, _) in enumerate(col):
+                for c, _ in col[i:]:
+                    exps = dict(W)
+                    for vid, e in x[r] + x[c]:
+                        exps[vid] = exps.get(vid, 0) - e
+                    found.update(vid for vid, e in exps.items() if e)
+        return sorted(found)
 
 
 def up_down_laplacian(cx: SimplicialComplex, k: int):

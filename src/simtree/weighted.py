@@ -9,7 +9,8 @@ Three weighting schemes attach a monomial to each top-dimensional facet F:
 The weighted up-down Laplacian, the sum over facets of X_F bd(F) bd(F)^T, is
 a trees.LaplacianFactors with the key of X_F per column and () per row:
 weighted_tau reads it symbolically, weighted_tau_at_points as one integer
-matrix per point.
+matrix per point. The symbolic determinant expands by columns in one packed
+Laurent layout, with every minor memoised as a packed dict.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import prod
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import bareiss_det
-from .laurent import LaurentPoly, monomial_for_face, product_sum, x_facet
+from .laurent import LaurentPoly, _packing, _poly, monomial_for_face, product_sum, x_facet
 from .trees import LaplacianFactors, enumerate_ssts, kept_indices, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
@@ -77,10 +78,13 @@ def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMa
 
 
 def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
-    """Exact determinant by column expansion with minor memoization.
+    """Exact determinant by column expansion with minor memoization, in one
+    packed layout. Every term takes one entry from each column, so the bounds
+    sum the columns' exponent ranges; each entry is packed once, each minor is
+    a packed dict accumulated in place, and only the result is unpacked.
 
     Minors are keyed by the bitmask of available rows (the column index is the
-    popcount), so the cost is O(2^n * n) polynomial operations.
+    popcount), so the cost is O(2^n * n) products of an entry and a minor.
     """
     n = M.n_rows
     if n != M.n_cols:
@@ -89,32 +93,39 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
         raise ResourceLimitError(
             f"symbolic determinant of size {n} exceeds the cap {cap}; "
             "use random-evaluation mode instead")
-    entries = M.entries
-    full = (1 << n) - 1
+    kind, pack, unpack, zero = _packing([row[j] for row in M.entries] for j in range(n))
+    entries = [[[(pack(k), c) for k, c in e.terms.items()] for e in row] for row in M.entries]
+    one = {0: 1}
     memo = {}
 
     def minor(mask, j):
         if j == n:
-            return LaurentPoly.one()
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc = LaurentPoly.zero()
-        sign = 1
+            return one
+        acc = memo.get(mask)
+        if acc is not None:
+            return acc
+        acc = memo[mask] = {}
+        get = acc.get
+        negate = False
         rest = mask
         while rest:
             low = rest & (-rest)
-            r = low.bit_length() - 1
-            e = entries[r][j]
-            if e:
-                term = e * minor(mask ^ low, j + 1)
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
+            entry = entries[low.bit_length() - 1][j]
+            if entry:
+                sub = minor(mask ^ low, j + 1)
+                for ke, ce in entry:
+                    if negate:
+                        ce = -ce
+                    for ks, cs in sub.items():
+                        k = ke + ks
+                        acc[k] = get(k, 0) + ce * cs
+            negate = not negate
             rest ^= low
-        memo[mask] = acc
+        for k in [k for k, c in acc.items() if not c]:
+            del acc[k]
         return acc
 
-    return minor(full, 0)
+    return _poly({unpack(k + zero): c for k, c in minor((1 << n) - 1, 0).items()}, kind)
 
 
 def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,

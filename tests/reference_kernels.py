@@ -37,6 +37,38 @@ def weighted_tau_at_points_reference(cx, scheme: str, assignments, ridge_tree=No
     return [fraction_det(substitute(LU, a)) * correction for a in assignments]
 
 
+def symbolic_det_reference(M: SymbolicMatrix) -> LaurentPoly:
+    """Column expansion with minor memoization in LaurentPoly arithmetic: one
+    product, sum and negation per nonzero entry and minor."""
+    n = M.n_rows
+    if n != M.n_cols:
+        raise InputError("determinant requires a square matrix")
+    entries = M.entries
+    memo = {}
+
+    def minor(mask, j):
+        if j == n:
+            return LaurentPoly.one()
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        acc = LaurentPoly.zero()
+        sign = 1
+        rest = mask
+        while rest:
+            low = rest & (-rest)
+            e = entries[low.bit_length() - 1][j]
+            if e:
+                term = e * minor(mask ^ low, j + 1)
+                acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+            rest ^= low
+        memo[mask] = acc
+        return acc
+
+    return minor((1 << n) - 1, 0)
+
+
 def mat_mul(A, B):
     if not A or not B:
         return [[] for _ in A]

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simtree.errors import ExactnessError, InputError
+from simtree.errors import ExactnessError, InputError, ResourceLimitError
 from simtree.laurent import (
     FINE,
     LaurentPoly,
@@ -15,6 +15,7 @@ from simtree.laurent import (
     monomial_for_face,
     poly_sum,
     poly_to_json_dict,
+    product,
     product_sum,
     x_coarse,
     x_fine,
@@ -315,3 +316,44 @@ def test_engine_results_keep_int_coefficients():
               a.coarse_collapse(), poly_sum([a, b, 2])):
         assert all(type(c) is int for c in p.terms.values())
     assert type(a.all_ones()) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_chained_products(data):
+    # product in one packed layout equals * chained from one, and the Fraction
+    # reference; factors of another kind raise the text that * raises
+    kind = data.draw(st.sampled_from("fce"))
+    factors = [LaurentPoly(data.draw(laurent_terms(kind=k))) for k in data.draw(
+        st.lists(st.sampled_from([kind] * 6 + list("fce")), max_size=4))]
+    if data.draw(st.integers(0, 3)) == 0:
+        factors.insert(data.draw(st.integers(0, len(factors))), LaurentPoly.zero())
+    try:
+        chained = LaurentPoly.one()
+        for f in factors:
+            chained = chained * f
+    except InputError as exc:
+        chained = str(exc)
+    if len({f.kind for f in factors} - {None}) > 1:
+        with pytest.raises(InputError, match="^polynomial mixes variable kinds$"):
+            product(factors)
+        assert not isinstance(chained, str) or chained == "polynomial mixes variable kinds"
+        return
+    ref = FractionLaurentPoly({(): 1})
+    for f in factors:
+        ref = ref * FractionLaurentPoly(f.terms)
+    got = product(factors)
+    assert got == chained and got.kind == chained.kind
+    _same(got, ref)
+
+
+def test_product_refuses_exponent_ranges_past_64_bits():
+    assert product([]) == LaurentPoly.one()
+    big = x_coarse(1, 2 ** 62)
+    # field range 2^63 + 2^62 fits 64 bits, and the negative offset is exact
+    edge = [big, big + x_coarse(1, -(2 ** 62))]
+    assert product(edge) == x_coarse(1, 2 ** 63) + 1
+    with pytest.raises(ResourceLimitError, match="64 bits"):
+        product(edge + [big])
+    with pytest.raises(ResourceLimitError, match="64 bits"):
+        x_coarse(1, 2 ** 63) * x_coarse(1, 2 ** 63)

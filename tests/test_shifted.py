@@ -462,6 +462,19 @@ def test_algebraic_laplacian_entry_formula_matches_product():
                        for a, b in zip(ra, rb))
 
 
+def test_factor_variables_are_those_of_the_entries_on_the_corpus():
+    # the variables read off the quotient keys are those of the symbolic
+    # entries on every (complex, i) pair that criterion 8 checks
+    pairs = 0
+    for cx in enumerate_shifted_complexes(6, 2):
+        for i in range(cx.dim + 1):
+            fac = fine_laplacian_factors(cx, i - 1)
+            assert fac.variables() == sorted({vid for row in fac.symbolic_entries()
+                                              for e in row for vid in e.variables()})
+            pairs += 1
+    assert pairs == 1257
+
+
 def test_scaled_char_matrix_is_d_times_shifted_laplacian_times_d():
     # y D^2 - B W B^T == D (yI - LL^ud_i) D entrywise, with D and W from
     # raise_op and B W B^T and D^2 from the integer reader, and the variable

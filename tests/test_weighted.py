@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference_kernels import (
     char_poly_fraction,
     is_symmetric,
     substitute,
+    symbolic_det_reference,
     weighted_boundary,
     weighted_laplacian_product,
     weighted_tau_at_points_reference,
@@ -29,6 +31,7 @@ from simtree.laurent import (
     X_facet,
     X_fine,
     canonical_string,
+    x_coarse,
     monomial_for_face,
     poly_sum,
 )
@@ -210,6 +213,72 @@ def test_symbolic_det_examples():
                                        for _ in range(13)))
     with pytest.raises(ResourceLimitError):
         symbolic_det(big)
+    assert symbolic_det(SymbolicMatrix(rows=(), cols=(), entries=())) == LaurentPoly.one()
+
+
+_DET_POOL = {"f": [("f", 1, 1), ("f", 2, 1), ("f", 1, 2)], "c": [("c", 1), ("c", 2)],
+             "e": [("e", (1, 2)), ("e", (1, 3)), ("e", (2, 3))]}
+
+
+@st.composite
+def symbolic_matrices(draw):
+    """Square matrices of size 0-7 over one variable kind: few variables, so
+    terms collide and cancel; zero entries, negative and large exponents and
+    Fraction coefficients; sometimes a repeated row, or one entry of another
+    kind."""
+    kind = draw(st.sampled_from("fce"))
+    n = draw(st.integers(0, 7))
+    exponents = st.integers(-2, 2) | st.sampled_from([-100, 100])  # fields past one byte
+    keys = st.dictionaries(st.sampled_from(_DET_POOL[kind]), exponents, max_size=2)
+    coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3)])
+    terms = st.dictionaries(keys.map(lambda e: tuple(e.items())), coeffs, min_size=1,
+                            max_size=2)
+    flat = draw(st.lists(st.tuples(st.integers(0, 4), terms), min_size=n * n, max_size=n * n))
+    rows = [[LaurentPoly(t if z else {}) for z, t in flat[i * n:(i + 1) * n]]
+            for i in range(n)]
+    if n > 1 and draw(st.integers(0, 3)) == 0:  # every term cancels
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    if n and draw(st.integers(0, 5)) == 0:
+        other = draw(st.sampled_from(sorted(set("fce") - {kind})))
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = LaurentPoly(
+            {((_DET_POOL[other][0], 1),): 1})
+    return SymbolicMatrix(rows=tuple(range(n)), cols=tuple(range(n)),
+                          entries=tuple(map(tuple, rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbolic_matrices())
+def test_symbolic_det_matches_the_reference(M):
+    # the packed expansion equals the LaurentPoly one; a matrix that mixes
+    # kinds raises the text the reference raises
+    try:
+        ref = symbolic_det_reference(M)
+    except InputError as exc:
+        ref = str(exc)
+    if len({e.kind for row in M.entries for e in row} - {None}) > 1:
+        with pytest.raises(InputError, match="^polynomial mixes variable kinds$"):
+            symbolic_det(M)
+        assert not isinstance(ref, str) or ref == "polynomial mixes variable kinds"
+        return
+    got = symbolic_det(M)
+    assert got.terms == ref.terms and got.kind == ref.kind
+    assert canonical_string(got) == canonical_string(ref)
+
+
+def test_symbolic_det_refuses_exponent_ranges_past_64_bits():
+    def diag(*entries):
+        n = len(entries)
+        return SymbolicMatrix(rows=tuple(range(n)), cols=tuple(range(n)), entries=tuple(
+            tuple(e if i == j else LaurentPoly.zero() for j, e in enumerate(entries))
+            for i, e in enumerate(entries)))
+
+    # each column's range counts: two of 2^62 fit 64 bits, two of 2^63 do not
+    assert symbolic_det(diag(x_coarse(1, 2 ** 62), x_coarse(1, 2 ** 62) - 1)) == \
+        x_coarse(1, 2 ** 63) - x_coarse(1, 2 ** 62)
+    with pytest.raises(ResourceLimitError, match="64 bits"):
+        symbolic_det(diag(x_coarse(1, 2 ** 63), x_coarse(1, 2 ** 63)))
+    with pytest.raises(ResourceLimitError, match="64 bits"):
+        symbolic_det(diag(x_coarse(1, 2 ** 64)))
 
 
 def test_weighted_tau_u_independence():
