@@ -318,7 +318,7 @@ def test_engine_results_keep_int_coefficients():
     assert type(a.all_ones()) is int
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_product_matches_chained_products(data):
     # product in one packed layout equals * chained from one, and the Fraction
