@@ -5,7 +5,12 @@ everything is exact. Algorithms:
 
 - rank and the lexicographically first column basis from one fraction-free
   echelon routine (rows kept primitive; no Fractions are built);
-- determinants by fraction-free Bareiss elimination;
+- determinants by fraction-free Bareiss elimination; a symmetric positive
+  definite matrix (a reduced Laplacian) by the same elimination on the upper
+  triangle with no row swaps, every pivot checked positive;
+- the product pi of the nonzero eigenvalues of a symmetric positive
+  semidefinite M as det((M^2)_PP) / det(M_PP), P its pivot columns: two
+  positive definite determinants of size rank(M);
 - Smith normal form by elimination with a minimal pivot, skipping the
   divisibility scan whenever the pivot is a unit;
 - characteristic polynomials by Faddeev-LeVerrier, multiplying by the
@@ -66,6 +71,42 @@ def bareiss_det(M) -> int:
             Ai[k] = 0
         prev = pkk
     return sign * A[n - 1][n - 1]
+
+
+def _require_symmetric(M):
+    _require(all(M[i][j] == M[j][i] for i in range(len(M)) for j in range(i)),
+             "matrix is not symmetric")
+
+
+def definite_det(M) -> int:
+    """Exact determinant of a symmetric positive definite integer matrix
+    (empty matrix -> 1).
+
+    Bareiss elimination without row swaps: the k-th pivot is the k-th leading
+    principal minor, and every trailing block stays symmetric, so only its
+    upper triangle is updated. A pivot that is not positive means the matrix
+    is not positive definite and raises ExactnessError, as does an asymmetric
+    input."""
+    n = len(M)
+    if any(len(r) != n for r in M):
+        raise InputError("determinant requires a square matrix")
+    _require_symmetric(M)
+    A = [list(r) for r in M]
+    prev = 1
+    for k in range(n):
+        Ak = A[k]
+        pkk = Ak[k]
+        _require(pkk > 0, "matrix is not positive definite")
+        for i in range(k + 1, n):
+            Ai, aki = A[i], Ak[i]
+            if aki:
+                for j in range(i, n):
+                    Ai[j] = (pkk * Ai[j] - aki * Ak[j]) // prev
+            elif pkk != prev:
+                for j in range(i, n):
+                    Ai[j] = pkk * Ai[j] // prev
+        prev = pkk
+    return prev
 
 
 def fraction_det(M) -> Fraction:
@@ -239,12 +280,23 @@ def char_poly(M) -> list:
 
 
 def nonzero_eigenvalue_product(M) -> int:
-    """|c_{n-r}| for chi(M;y), r = rank(M): product of the nonzero eigenvalues."""
-    n = len(M)
-    r = rank(M)
-    c = char_poly(M)[n - r]
-    _require(c != 0, "rank disagrees with characteristic polynomial")
-    return abs(c)
+    """The product of the nonzero eigenvalues of a symmetric positive
+    semidefinite integer matrix M (1 when there are none).
+
+    With P the pivot columns of M, M_PP is nonsingular and
+    M = M_{:,P} M_PP^-1 M_{P,:}, so the nonzero eigenvalues of M are those of
+    M_PP^-1 (M^2)_PP. Both factors are positive definite, and the product is
+    det((M^2)_PP) / det(M_PP). An indefinite or asymmetric M raises
+    ExactnessError."""
+    _require_symmetric(M)
+    P = pivot_columns(M)
+    rows = [[(j, x) for j, x in enumerate(M[p]) if x] for p in P]
+    # (M^2)_PP is the Gram matrix of the rows at P, as M is symmetric
+    gram = [[sum(x * M[q][j] for j, x in row) for q in P] for row in rows]
+    num = definite_det(gram)
+    den = definite_det([[M[p][q] for q in P] for p in P])
+    _require(num % den == 0, "nonzero eigenvalue product is not integral")
+    return num // den
 
 
 def integer_spectrum_check(M, expected) -> bool:

@@ -21,9 +21,9 @@ from .complexes import BoundaryMatrix, SimplicialComplex
 from .errors import DomainError, ExactnessError, InputError, ResourceLimitError, _require
 from .exactlinalg import (
     HomologySummary,
-    bareiss_det,
     betti,
     boundary_rank,
+    definite_det,
     homology,
     is_apc,
     nonzero_eigenvalue_product,
@@ -151,6 +151,11 @@ def _submatrix_columns(bd_lists, col_indices):
     return [[row[j] for j in col_indices] for row in bd_lists]
 
 
+def _check_tree_dimension(cx: SimplicialComplex, k: int):
+    if not 0 <= k <= cx.dim:
+        raise InputError(f"tree dimension {k} out of range [0, {cx.dim}]")
+
+
 def _tree_size(amb: SimplicialComplex, k: int) -> int:
     return amb.f(k) - betti(amb, k) + betti(amb, k - 1)
 
@@ -189,6 +194,7 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     size to rank bd_k for an APC ambient skeleton), enumerated by DFS with an
     incremental fraction-free echelon.
     """
+    _check_tree_dimension(cx, k)
     amb = cx.skeleton(k)
     if not is_apc(amb):
         raise DomainError(NOT_APC_MESSAGE)
@@ -282,8 +288,7 @@ def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tupl
     (on a shifted complex, the star of the minimal vertex). At k = 0 the
     only ridge is the empty face, U is empty and the correction is 1.
     """
-    if not 0 <= k <= cx.dim:
-        raise InputError(f"tree dimension {k} out of range [0, {cx.dim}]")
+    _check_tree_dimension(cx, k)
     amb = cx.skeleton(k)
     if not is_apc(amb):
         raise DomainError(NOT_APC_MESSAGE)
@@ -308,17 +313,19 @@ def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tupl
 
 def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) -> int:
     """tau_k by the reduced-Laplacian matrix-tree formula, with the torsion
-    correction of ridge_tree_reduction always applied."""
+    correction of ridge_tree_reduction always applied. The reduced Laplacian
+    is positive definite: nonsingular by the theorem, and a principal
+    submatrix of bd_k bd_k^T."""
     amb, U, correction = ridge_tree_reduction(cx, k, ridge_tree)
-    tau = bareiss_det(reduced_laplacian(amb, k, U)) * correction
+    tau = definite_det(reduced_laplacian(amb, k, U)) * correction
     _require(tau.denominator == 1, "torsion correction is not integral")
     _require(tau > 0, "tree count must be positive")
     return tau.numerator
 
 
 def pi(cx: SimplicialComplex, k: int) -> int:
-    """Product of the nonzero eigenvalues of L^ud_{k-1}, read off the exact
-    characteristic polynomial."""
+    """Product of the nonzero eigenvalues of L^ud_{k-1} = bd_k bd_k^T, a
+    positive semidefinite matrix."""
     if k < 0 or k > cx.dim:
         raise InputError(f"pi dimension {k} out of range [0, {cx.dim}]")
     return nonzero_eigenvalue_product(up_down_laplacian(cx, k))
@@ -331,6 +338,7 @@ def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> 
     is named in the error.
     """
     d = cx.dim if k is None else k
+    _check_tree_dimension(cx, d)
     if not is_apc(cx.skeleton(d)):
         raise DomainError(NOT_APC_MESSAGE)
     for j in range(1, d + 1):

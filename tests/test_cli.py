@@ -241,6 +241,15 @@ def test_count_laplacian_dimension_out_of_range_exit_1(capsys, dim):
     assert f"error: tree dimension {dim} out of range [0, 2]" in err
 
 
+@pytest.mark.parametrize("dim", ["-2", "-1", "3"])
+def test_count_methods_refuse_a_dimension_out_of_range_alike(tmp_path, capsys, dim):
+    path = tmp_path / "complex.json"
+    path.write_text('{"facets": [[1, 2, 3], [1, 2, 4], [1, 3, 4]]}')
+    results = {run(capsys, "count", "--complex", str(path), "--dim", dim, "--method", method)
+               for method in ("oracle", "laplacian", "altproduct")}
+    assert results == {(1, "", f"error: tree dimension {dim} out of range [0, 2]\n")}
+
+
 # -- fuzzing the whole command line ------------------------------------------------
 
 _ints = st.integers(1, 5) | st.integers(-2, 5)

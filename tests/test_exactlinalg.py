@@ -16,6 +16,7 @@ from simtree.exactlinalg import (
     bareiss_det,
     betti,
     char_poly,
+    definite_det,
     fraction_det,
     homology,
     integer_spectrum_check,
@@ -195,9 +196,43 @@ def test_euler_characteristic_identity():
         assert lhs == rhs
 
 
+def test_definite_det_examples():
+    assert definite_det([]) == 1
+    assert definite_det([[7]]) == 7
+    assert definite_det([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
+    with pytest.raises(InputError):
+        definite_det([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("M", [
+    [[1, 2], [2, 1]],  # indefinite
+    [[1, 1], [1, 1]],  # positive semidefinite but singular
+    [[2, 1], [0, 2]],  # not symmetric
+    [[0]],
+    [[-3]],
+])
+def test_definite_det_refuses_what_is_not_positive_definite(M):
+    with pytest.raises(ExactnessError):
+        definite_det(M)
+
+
 def test_nonzero_eigenvalue_product():
     # L for K2 on C_0 has eigenvalues {0, 2}
     assert nonzero_eigenvalue_product([[1, -1], [-1, 1]]) == 2
+    assert nonzero_eigenvalue_product([]) == 1
+    assert nonzero_eigenvalue_product([[0, 0], [0, 0]]) == 1
+    # eigenvalues {0, 3, 3}: rank 2 with pivot columns 0 and 1
+    assert nonzero_eigenvalue_product([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]) == 9
+
+
+@pytest.mark.parametrize("M", [
+    [[1, 2], [2, 1]],  # eigenvalues 3 and -1
+    [[0, 1, 0], [1, 0, 0], [0, 0, 0]],  # rank 2, eigenvalues 1, -1, 0
+    [[1, 2], [0, 0]],  # not symmetric; eigenvalues 1 and 0
+])
+def test_nonzero_eigenvalue_product_refuses_indefinite_or_asymmetric(M):
+    with pytest.raises(ExactnessError):
+        nonzero_eigenvalue_product(M)
 
 
 def test_integer_spectrum_check():

@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simtree.exactlinalg import bareiss_det, char_poly, pivot_columns, rank, smith_normal_form
+from simtree.exactlinalg import (
+    bareiss_det,
+    char_poly,
+    definite_det,
+    pivot_columns,
+    rank,
+    smith_normal_form,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
@@ -25,6 +32,25 @@ square = st.integers(1, 5).flatmap(
 @given(square)
 def test_det_matches_sympy(M):
     assert bareiss_det(M) == sympy.Matrix(M).det()
+
+
+
+def _gram_plus_identity(A):
+    """A^T A + I: symmetric positive definite, whatever the integer matrix A."""
+    n = len(A[0]) if A else 0
+    return [[sum(r[i] * r[j] for r in A) + (i == j) for j in range(n)] for i in range(n)]
+
+
+definite = st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                       min_size=max(n, 1), max_size=8)).map(_gram_plus_identity)
+
+
+@settings(max_examples=80, deadline=None)
+@given(definite)
+def test_definite_det_matches_sympy(M):
+    det = definite_det(M)
+    assert det == bareiss_det(M) == sympy.Matrix(len(M), len(M), sum(M, [])).det()
 
 
 @settings(max_examples=80, deadline=None)

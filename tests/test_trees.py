@@ -9,7 +9,16 @@ from reference_kernels import dense_up_down_laplacian, find_sst_reverse_delete
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import DomainError, ExactnessError, InputError, ResourceLimitError
-from simtree.exactlinalg import betti, homology, is_apc
+from simtree.exactlinalg import (
+    bareiss_det,
+    betti,
+    char_poly,
+    definite_det,
+    homology,
+    is_apc,
+    nonzero_eigenvalue_product,
+    rank,
+)
 from simtree.fixtures import (
     bipyramid,
     complete_bipartite,
@@ -27,6 +36,7 @@ from simtree.trees import (
     is_sst,
     pi,
     reduced_laplacian,
+    ridge_tree_reduction,
     star_ridges,
     tau_via_alternating_product,
     tau_via_reduced_laplacian,
@@ -198,6 +208,39 @@ def test_pi_examples():
     assert pi(complete_graph(2), 1) == 2
 
 
+def _count_test_complexes():
+    """The <=6-vertex shifted corpus, the fixtures and the skeletons of the
+    simplex on at most 8 vertices."""
+    fixtures = [bipyramid(), tetrahedron_boundary(), rp2_six_vertices(), two_disjoint_edges(),
+                complete_graph(5), complete_bipartite(3, 4)]
+    skeletons = [simplex_skeleton(n, d) for d in (1, 2, 3) for n in range(d + 1, 9)]
+    return [*enumerate_shifted_complexes(6, 2), *fixtures, *skeletons]
+
+
+def test_definite_det_equals_bareiss_on_reduced_laplacians():
+    sizes = []
+    for cx in _count_test_complexes():
+        for k in range(cx.dim + 1):
+            if not is_apc(cx.skeleton(k)):
+                continue
+            amb, U, _ = ridge_tree_reduction(cx, k)
+            L = reduced_laplacian(amb, k, U)
+            assert definite_det(L) == bareiss_det(L) > 0
+            sizes.append(len(L))
+    assert len(sizes) > 900 and max(sizes) == 35
+
+
+def test_pi_equals_char_poly_coefficient():
+    # |c_{n-r}| of det(yI - L) is the product of the nonzero eigenvalues
+    count = 0
+    for cx in [*_count_test_complexes(), *random_apc_2_complexes(20)]:
+        for k in range(cx.dim + 1):
+            L = up_down_laplacian(cx, k)
+            assert nonzero_eigenvalue_product(L) == abs(char_poly(L)[len(L) - rank(L)])
+            count += 1
+    assert count > 1300
+
+
 def test_pi_equals_principal_minor_sum():
     # Binet-Cauchy: pi_k is the sum of det L_U over complements of rank-size subsets
     for cx, k in ((complete_graph(3), 1), (SimplicialComplex.from_facets([[1, 2, 3]]), 2)):
@@ -258,10 +301,7 @@ def test_tree_count_invariant():
 
 
 def test_up_down_laplacian_matches_dense_product():
-    fixtures = [bipyramid(), tetrahedron_boundary(), rp2_six_vertices(), two_disjoint_edges(),
-                complete_graph(5), complete_bipartite(3, 4)]
-    skeletons = [simplex_skeleton(n, d) for d in (1, 2, 3) for n in range(d + 1, 9)]
-    for cx in [*enumerate_shifted_complexes(6, 2), *fixtures, *skeletons]:
+    for cx in _count_test_complexes():
         for k in range(cx.dim + 2):
             assert up_down_laplacian(cx, k) == dense_up_down_laplacian(cx, k)
         for k in (-1, cx.dim + 2):

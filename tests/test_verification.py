@@ -40,9 +40,10 @@ def _first_weight_squared(cx, i):
     (verification.check_13_property_suites, "weighted_tau", _one),
     (verification.check_08_spectrum_theorem, "shifted_spectrum", _one_z_dropped),
     (verification.check_08_spectrum_theorem, "fine_laplacian_factors", _first_weight_squared),
+    (verification.check_02_bipyramid_pi_ladder, "char_poly", lambda M: [0] * len(M) + [1]),
 ], ids=["11-lsg_recursive", "12-shifted_tau_fine", "06-shifted_tau_coarse",
         "13-shifted_tau_coarse", "06-tau_via_reduced_laplacian", "13-weighted_tau",
-        "08-shifted_spectrum", "08-fine_laplacian_factors"])
+        "08-shifted_spectrum", "08-fine_laplacian_factors", "02-char_poly"])
 def test_moved_cross_check_fails_on_a_wrong_route(monkeypatch, check, route, wrong):
     assert check(**SMALL).passed
     monkeypatch.setattr(verification, route, wrong)
