@@ -342,11 +342,17 @@ class HomologySummary:
         return {"betti": self.betti, "torsion_order": self.torsion_order}
 
 
-def boundary_rank(cx: SimplicialComplex, k: int) -> int:
-    """rank bd_k (0 outside [0, dim]), memoised on the complex."""
+def boundary_pivots(cx: SimplicialComplex, k: int) -> tuple:
+    """The pivot columns of bd_k (none outside [0, dim]), memoised on the
+    complex: each boundary is eliminated once."""
     if k < 0 or k > cx.dim:
-        return 0
-    return cx.memo(("rank", k), lambda: rank(cx.boundary_matrix(k).as_lists()))
+        return ()
+    return cx.memo(("pivots", k), lambda: tuple(pivot_columns(cx.boundary_matrix(k).as_lists())))
+
+
+def boundary_rank(cx: SimplicialComplex, k: int) -> int:
+    """rank bd_k: the number of its pivot columns."""
+    return len(boundary_pivots(cx, k))
 
 
 def homology(cx: SimplicialComplex, i: int) -> HomologySummary:

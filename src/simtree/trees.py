@@ -15,27 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 from .complexes import BoundaryMatrix, SimplicialComplex
 from .errors import DomainError, ExactnessError, InputError, ResourceLimitError, _require
 from .exactlinalg import (
     HomologySummary,
+    _primitive,
     betti,
+    boundary_pivots,
     boundary_rank,
     definite_det,
     homology,
-    is_apc,
     nonzero_eigenvalue_product,
-    pivot_columns,
     rank,
     smith_normal_form,
 )
 from .laurent import _poly, key_quotient
 
 DEFAULT_SUBSET_CAP = 2_000_000
-
-NOT_APC_MESSAGE = "complex is not APC"
 
 
 @dataclass(frozen=True)
@@ -156,27 +154,34 @@ def _check_tree_dimension(cx: SimplicialComplex, k: int):
         raise InputError(f"tree dimension {k} out of range [0, {cx.dim}]")
 
 
-def _tree_size(amb: SimplicialComplex, k: int) -> int:
-    return amb.f(k) - betti(amb, k) + betti(amb, k - 1)
+def _require_apc(cx: SimplicialComplex, k: int):
+    """Refuse k outside [0, dim] and a complex whose k-skeleton is not APC.
+    The k-skeleton shares bd_0..bd_k with cx, so its betti_j is betti_j(cx)
+    for every j < k."""
+    _check_tree_dimension(cx, k)
+    if any(betti(cx, j) for j in range(-1, k)):
+        raise DomainError("complex is not APC")
 
 
 def is_sst(cx: SimplicialComplex, k: int, facet_set) -> SstResult:
-    """Check the SST conditions for T = facet_set inside the k-skeleton of cx."""
-    amb = cx.skeleton(k)
-    kfaces = amb.faces_of_dim(k)
+    """Check the SST conditions for T = facet_set inside the k-skeleton of cx,
+    which shares bd_{k-1} and bd_k with cx: the forced facet count is
+    dim ker bd_{k-1}, and a tree's certificate holds |H~_{k-1}| of T over the
+    (k-1)-skeleton, the product of the Smith normal form of bd_k at T."""
+    _check_tree_dimension(cx, k)
+    kfaces = cx.faces_of_dim(k)
     index = {F: i for i, F in enumerate(kfaces)}
-    T = sorted({tuple(F) for F in facet_set})
-    for F in T:
+    T = sorted(tuple(F) for F in facet_set)
+    for i, F in enumerate(T):
         if F not in index:
             raise InputError(f"{F} is not a {k}-face of the complex")
-    bd = amb.boundary_matrix(k).as_lists()
+        if i and T[i - 1] == F:
+            raise InputError(f"the face {F} is repeated")
+    bd = cx.boundary_matrix(k).as_lists()
     sub = _submatrix_columns(bd, [index[F] for F in T])
     r = rank(sub)
-    acyclic = (len(T) - r) == 0
-    ker_below = amb.f(k - 1) - boundary_rank(amb, k - 1)
-    finite_below = (ker_below - r) == 0
-    count_ok = len(T) == _tree_size(amb, k)
-    conds = (acyclic, finite_below, count_ok)
+    ker_below = cx.f(k - 1) - boundary_rank(cx, k - 1)
+    conds = (len(T) == r, ker_below == r, len(T) == ker_below)
     _require(sum(conds) != 2, "two-out-of-three violated")
     cert = None
     if all(conds):
@@ -194,34 +199,23 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     size to rank bd_k for an APC ambient skeleton), enumerated by DFS with an
     incremental fraction-free echelon.
     """
-    _check_tree_dimension(cx, k)
-    amb = cx.skeleton(k)
-    if not is_apc(amb):
-        raise DomainError(NOT_APC_MESSAGE)
-    kfaces = amb.faces_of_dim(k)
+    _require_apc(cx, k)
+    kfaces = cx.faces_of_dim(k)
     n_cols = len(kfaces)
-    size = _tree_size(amb, k)
+    size = cx.f(k - 1) - boundary_rank(cx, k - 1)
     if comb(n_cols, size) > cap:
         raise ResourceLimitError(
             f"{comb(n_cols, size)} candidate subsets exceed the cap {cap}")
-    bd = amb.boundary_matrix(k).as_lists()
+    bd = cx.boundary_matrix(k).as_lists()
     cols = [[row[j] for row in bd] for j in range(n_cols)]
 
     results = []
 
     def reduce_against(v, pivots):
-        v = list(v)
         for vec, pos in pivots:
             if v[pos] != 0:
                 a, b = vec[pos], v[pos]
-                v = [a * x - b * y for x, y in zip(v, vec)]
-                g = 0
-                for x in v:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    v = [x // g for x in v]
+                v = _primitive([a * x - b * y for x, y in zip(v, vec)])
         for pos, x in enumerate(v):
             if x != 0:
                 return v, pos
@@ -258,57 +252,57 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     return TreeCount(tau=tau, per_tree=tuple(per_tree) if include_trees else None)
 
 
+def _pivot_certificate(cx: SimplicialComplex, k: int) -> SstCertificate:
+    """is_sst's certificate of the k-faces at the pivot columns of bd_k, for
+    a complex whose k-skeleton is APC."""
+    res = is_sst(cx, k, [cx.faces_of_dim(k)[j] for j in boundary_pivots(cx, k)])
+    _require(res.is_tree, "pivot columns are not a spanning tree")
+    return res.certificate
+
+
 def find_sst(cx: SimplicialComplex, k: int) -> tuple:
     """The lexicographically first k-SST: the k-faces at the pivot columns of
     bd_k, i.e. each k-face whose boundary is independent of the earlier ones."""
-    amb = cx.skeleton(k)
-    if not is_apc(amb):
-        raise DomainError(NOT_APC_MESSAGE)
-    kfaces = amb.faces_of_dim(k)
-    tree = tuple(kfaces[j] for j in pivot_columns(amb.boundary_matrix(k).as_lists()))
-    _require(is_sst(amb, k, tree).is_tree, "pivot columns are not a spanning tree")
-    return tree
+    _require_apc(cx, k)
+    return _pivot_certificate(cx, k).facet_set
 
 
 def reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree) -> list:
     """Delete the rows/columns of L^ud_{k-1} indexed by the ridge tree."""
-    amb = cx.skeleton(k)
-    keep = kept_indices(amb.faces_of_dim(k - 1), ridge_tree)
-    L = up_down_laplacian(amb, k)
+    _check_tree_dimension(cx, k)
+    keep = kept_indices(cx.faces_of_dim(k - 1), ridge_tree)
+    L = up_down_laplacian(cx, k)
     return [[L[i][j] for j in keep] for i in keep]
 
 
 def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tuple:
-    """(amb, U, correction) for the reduced-Laplacian formula of tau_k: amb is
-    the APC k-skeleton, U the (k-1)-SST whose ridges are deleted, and
-    correction = |H~_{k-2}(amb)|^2 / |H~_{k-2}(amb_U)|^2 with amb_U the ridges
-    of U over the (k-2)-skeleton.
+    """(U, correction) for the reduced-Laplacian formula of tau_k: U is the
+    (k-1)-SST whose ridges are deleted, and correction =
+    |H~_{k-2}(cx)|^2 / |H~_{k-2}(cx_U)|^2 with cx_U the ridges of U over the
+    (k-2)-skeleton. One is_sst certificate gives U and |H~_{k-2}(cx_U)|.
 
     Without a ridge tree, U is the lexicographically first tree of find_sst
     (on a shifted complex, the star of the minimal vertex). At k = 0 the
     only ridge is the empty face, U is empty and the correction is 1.
     """
-    _check_tree_dimension(cx, k)
-    amb = cx.skeleton(k)
-    if not is_apc(amb):
-        raise DomainError(NOT_APC_MESSAGE)
+    _require_apc(cx, k)
     if k == 0:
         if ridge_tree:
             raise InputError("the ridge set must be empty when k = 0")
-        return amb, (), Fraction(1)
+        return (), Fraction(1)
     if ridge_tree is None:
-        U = find_sst(amb, k - 1)  # find_sst checks its own tree
+        cert = _pivot_certificate(cx, k - 1)
     else:
-        U = tuple(tuple(F) for F in ridge_tree)
-        if not is_sst(amb, k - 1, U).is_tree:
+        cert = is_sst(cx, k - 1, ridge_tree).certificate
+        if cert is None:
             raise InputError("the ridge set is not a (k-1)-SST")
-    _require(amb.f(k - 1) - len(U) == amb.f(k) - betti(amb, k),
+    U = cert.facet_set
+    _require(cx.f(k - 1) - len(U) == boundary_rank(cx, k),
              "reduced Laplacian has the wrong size")
-    lower = [F for F in amb.all_faces() if len(F) - 1 <= k - 2]
-    t_amb = homology(amb, k - 2).group_order()
-    t_u = homology(SimplicialComplex(list(U) + lower), k - 2).group_order()
-    _require(t_amb is not None and t_u is not None, "torsion orders must be finite")
-    return amb, U, Fraction(t_amb * t_amb, t_u * t_u)
+    t_amb = homology(cx, k - 2).group_order()
+    t_u = cert.homology_below.torsion_order
+    _require(t_amb is not None, "torsion orders must be finite")
+    return U, Fraction(t_amb * t_amb, t_u * t_u)
 
 
 def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) -> int:
@@ -316,8 +310,8 @@ def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) ->
     correction of ridge_tree_reduction always applied. The reduced Laplacian
     is positive definite: nonsingular by the theorem, and a principal
     submatrix of bd_k bd_k^T."""
-    amb, U, correction = ridge_tree_reduction(cx, k, ridge_tree)
-    tau = definite_det(reduced_laplacian(amb, k, U)) * correction
+    U, correction = ridge_tree_reduction(cx, k, ridge_tree)
+    tau = definite_det(reduced_laplacian(cx, k, U)) * correction
     _require(tau.denominator == 1, "torsion correction is not integral")
     _require(tau > 0, "tree count must be positive")
     return tau.numerator
@@ -334,15 +328,13 @@ def pi(cx: SimplicialComplex, k: int) -> int:
 def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> int:
     """tau_k as the alternating product of the pi_j, j = 0..k.
 
-    Requires H~_{j-2}(skeleton_j) = 0 at every level j used; the failing level
-    is named in the error.
+    Requires H~_{j-2} = 0 at every level j used (the j-skeleton has the
+    H~_{j-2} of cx); the failing level is named in the error.
     """
     d = cx.dim if k is None else k
-    _check_tree_dimension(cx, d)
-    if not is_apc(cx.skeleton(d)):
-        raise DomainError(NOT_APC_MESSAGE)
+    _require_apc(cx, d)
     for j in range(1, d + 1):
-        h = homology(cx.skeleton(j), j - 2)
+        h = homology(cx, j - 2)
         if h.betti != 0 or h.torsion_order != 1:
             raise DomainError(
                 f"alternating product needs vanishing H~_{j - 2} at level {j}")

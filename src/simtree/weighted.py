@@ -131,8 +131,8 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
 def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,
                  det_cap: int = 12) -> LaurentPoly:
     """The weighted spanning-tree enumerator tau-hat_d as an exact polynomial."""
-    amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
-    LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
+    U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    LU = weighted_up_down_laplacian(cx, scheme).delete_labels(U)
     result = symbolic_det(LU, cap=det_cap) * correction.numerator
     result = result.div_exact(correction.denominator)  # ExactnessError on a remainder
     _require(result.has_nonnegative_integer_coeffs(),
@@ -145,8 +145,8 @@ def weighted_tau_at_points(cx: SimplicialComplex, scheme: str, assignments,
     """Evaluation mode for matrices above the symbolic cap: the exact value of
     tau-hat at each assignment (int or Fraction values), one integer Bareiss
     determinant of the reduced weighted Laplacian per point."""
-    amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
-    fac = weighted_laplacian_factors(amb, scheme)
+    U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    fac = weighted_laplacian_factors(cx, scheme)
     keep = kept_indices(fac.boundary.rows, U)
     return [Fraction(bareiss_det([[M[i][j] for j in keep] for i in keep]),
                      prod(scale[i] for i in keep)) * correction

@@ -7,8 +7,9 @@ the tests require identical results from both.
 from fractions import Fraction
 from math import gcd
 
+from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError
-from simtree.exactlinalg import fraction_det
+from simtree.exactlinalg import fraction_det, homology
 from simtree.laurent import LaurentPoly, monomial_for_face, raise_key, x_facet
 from simtree.trees import ridge_tree_reduction
 from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
@@ -32,8 +33,8 @@ def substitute(M: SymbolicMatrix, assignment) -> list:
 def weighted_tau_at_points_reference(cx, scheme: str, assignments, ridge_tree=None) -> list:
     """tau-hat at each assignment by the symbolic reduced Laplacian, substituted
     entry by entry, and a determinant over Q."""
-    amb, U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
-    LU = weighted_up_down_laplacian(amb, scheme).delete_labels(U)
+    U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    LU = weighted_up_down_laplacian(cx, scheme).delete_labels(U)
     return [fraction_det(substitute(LU, a)) * correction for a in assignments]
 
 
@@ -156,6 +157,13 @@ def fraction_kernel_basis(M, n_cols=None):
             iv = [x // g for x in iv]
         basis.append(iv)
     return basis
+
+
+def ridge_tree_torsion_reference(cx, k, U) -> int:
+    """|H~_{k-2}(cx_U)|, cx_U the complex built from the ridges U over the
+    (k-2)-skeleton of cx, by its own boundaries and Smith normal form."""
+    lower = [F for F in cx.all_faces() if len(F) - 1 <= k - 2]
+    return homology(SimplicialComplex(list(U) + lower), k - 2).group_order()
 
 
 def find_sst_reverse_delete(cx, k) -> tuple:

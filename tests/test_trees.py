@@ -4,8 +4,13 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from reference_kernels import dense_up_down_laplacian, find_sst_reverse_delete
+from reference_kernels import (
+    dense_up_down_laplacian,
+    find_sst_reverse_delete,
+    ridge_tree_torsion_reference,
+)
 
+from simtree import exactlinalg
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import DomainError, ExactnessError, InputError, ResourceLimitError
@@ -42,6 +47,7 @@ from simtree.trees import (
     tau_via_reduced_laplacian,
     up_down_laplacian,
 )
+from simtree.weighted import weighted_tau
 
 SEED = 20080814
 
@@ -182,9 +188,22 @@ def test_tau_reduced_laplacian_validates_ridge_tree():
 
 
 def test_tree_dimension_out_of_range_names_k():
-    for k in (-2, -1, 3):
+    B = bipyramid()
+    calls = [(k, lambda k=k: tau_via_reduced_laplacian(B, k)) for k in (-2, -1, 3)]
+    calls += [(5, lambda: find_sst(B, 5)), (3, lambda: is_sst(B, 3, [])),
+              (-1, lambda: is_sst(B, -1, [()]))]
+    for k, call in calls:
         with pytest.raises(InputError, match=rf"tree dimension {k} out of range \[0, 2\]"):
-            tau_via_reduced_laplacian(bipyramid(), k)
+            call()
+
+
+def test_repeated_faces_are_refused():
+    B = bipyramid()
+    U = list(star_ridges(B, 1, 1))
+    with pytest.raises(InputError, match=r"the face \(1, 2\) is repeated"):
+        is_sst(B, 1, U + [U[0]])
+    with pytest.raises(InputError, match=r"the face \(1, 2\) is repeated"):
+        tau_via_reduced_laplacian(B, 2, U + [U[0]])
 
 
 def test_tau_u_independence():
@@ -223,11 +242,73 @@ def test_definite_det_equals_bareiss_on_reduced_laplacians():
         for k in range(cx.dim + 1):
             if not is_apc(cx.skeleton(k)):
                 continue
-            amb, U, _ = ridge_tree_reduction(cx, k)
-            L = reduced_laplacian(amb, k, U)
+            U, _ = ridge_tree_reduction(cx, k)
+            L = reduced_laplacian(cx, k, U)
             assert definite_det(L) == bareiss_det(L) > 0
             sizes.append(len(L))
     assert len(sizes) > 900 and max(sizes) == 35
+
+
+def test_ridge_tree_torsion_is_the_certificates():
+    # t_u of the correction is the is_sst certificate's torsion order, which
+    # equals |H~_{k-2}| of the complex built from U over the (k-2)-skeleton
+    pairs = 0
+    for cx in _count_test_complexes():
+        for k in range(1, cx.dim + 1):
+            if not is_apc(cx.skeleton(k)):
+                continue
+            U, correction = ridge_tree_reduction(cx, k)
+            t_u = is_sst(cx, k - 1, U).certificate.homology_below.torsion_order
+            t_amb = homology(cx.skeleton(k), k - 2).group_order()
+            assert t_u == ridge_tree_torsion_reference(cx, k, U)
+            assert correction == Fraction(t_amb * t_amb, t_u * t_u)
+            pairs += 1
+    assert pairs > 450
+
+
+def test_torsion_ridge_tree():
+    # the 10 triangles of RP^2 are a 2-tree of the simplex on [1, 6] with
+    # |H~_1| = 2, so the correction is 1/4; tau_3 = 6^4 (Kalai)
+    cx = simplex_skeleton(6, 3)
+    U = rp2_six_vertices().faces_of_dim(2)
+    assert len(U) == 10 and ridge_tree_torsion_reference(cx, 3, U) == 2
+    assert ridge_tree_reduction(cx, 3, U) == (U, Fraction(1, 4))
+    assert tau_via_reduced_laplacian(cx, 3, U) == tau_via_reduced_laplacian(cx, 3) == 6 ** 4
+    assert weighted_tau(cx, "coarse", U) == weighted_tau(cx, "coarse")
+
+
+def test_counts_build_no_complex_and_eliminate_each_boundary_once(monkeypatch):
+    built, eliminated = [], []
+    real_init, real_pivots = SimplicialComplex.__init__, exactlinalg.pivot_columns
+
+    def counting_init(self, faces):
+        built.append(self)
+        real_init(self, faces)
+
+    def counting_pivots(M):
+        eliminated.append(M)
+        return real_pivots(M)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(exactlinalg, "pivot_columns", counting_pivots)
+    # each count eliminates bd_0..bd_k once; besides them, the reduced
+    # Laplacian route eliminates bd_{k-1} at U (is_sst's rank), and the
+    # alternating product one Laplacian per pi_j
+    counts = [(3, lambda cx: tau_via_reduced_laplacian(cx, 3), 5),
+              (2, lambda cx: tau_via_reduced_laplacian(cx, 2), 4),
+              (3, tau_via_alternating_product, 8)]
+    for k, count, eliminations in counts:
+        cx = simplex_skeleton(7, 3)
+        built.clear()
+        eliminated.clear()
+        assert count(cx) == 7 ** 10  # Kalai: 7^C(5,k) for k = 2, 3
+        assert built == [] and len(eliminated) == eliminations
+        for j in range(k + 1):
+            assert eliminated.count(cx.boundary_matrix(j).as_lists()) == 1
+    cx = simplex_skeleton(5, 2)
+    built.clear()
+    assert weighted_tau(cx, "coarse").all_ones() == 5 ** 3
+    assert built == []
 
 
 def test_pi_equals_char_poly_coefficient():

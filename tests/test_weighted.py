@@ -386,8 +386,8 @@ def _scaled_correction(monkeypatch, factor):
     real = weighted.ridge_tree_reduction
 
     def scaled(cx, k, ridge_tree=None):
-        amb, U, correction = real(cx, k, ridge_tree)
-        return amb, U, correction * factor
+        U, correction = real(cx, k, ridge_tree)
+        return U, correction * factor
     monkeypatch.setattr(weighted, "ridge_tree_reduction", scaled)
 
 
