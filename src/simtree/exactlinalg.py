@@ -1,18 +1,22 @@
 """Arbitrary-precision integer matrix kernels.
 
-Matrices are plain lists of lists of Python ints (or Fractions where stated);
-everything is exact. Algorithms:
+Matrices are plain lists of lists of Python ints (or Fractions where stated),
+or columns given by their supports; everything is exact. Algorithms:
 
-- rank and the lexicographically first column basis from one fraction-free
-  echelon routine (rows kept primitive; no Fractions are built);
+- one column-reduction kernel (ColumnReduction) on column supports: each
+  column is reduced at its last nonzero row, by exact subtraction against a
+  unit pivot and fraction-free, kept primitive, against any other. It gives
+  rank and the lexicographically first column basis, and the Smith normal
+  form: every unit pivot reached by unimodular operations is an invariant
+  factor 1, and only the other columns, cleared at the unit pivots' rows, go
+  to a dense elimination with a minimal pivot. Boundaries are reduced on
+  their stored supports, and each once per complex;
 - determinants by fraction-free Bareiss elimination; a symmetric positive
   definite matrix (a reduced Laplacian) by the same elimination on the upper
   triangle with no row swaps, every pivot checked positive;
 - the product pi of the nonzero eigenvalues of a symmetric positive
   semidefinite M as det((M^2)_PP) / det(M_PP), P its pivot columns: two
   positive definite determinants of size rank(M);
-- Smith normal form by elimination with a minimal pivot, skipping the
-  divisibility scan whenever the pivot is a unit;
 - characteristic polynomials by Faddeev-LeVerrier, multiplying by the
   nonzeros of the matrix only, with an integrality check at every step.
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .complexes import SimplicialComplex
 from .errors import ExactnessError, InputError, _require
@@ -126,125 +130,169 @@ def fraction_det(M) -> Fraction:
     return Fraction(bareiss_det(rows), 1) / scale
 
 
-def _primitive(row):
-    """The row divided by the gcd of its entries (unchanged if that is 0 or 1)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def columns_of(M) -> list:
+    """The column supports of a dense integer matrix: per column, its
+    nonzeros as (row index, value) pairs."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*M)]
+
+
+def _subtract(v, c, p):
+    """v -= c * p on sparse columns ({row: nonzero value}), in place."""
+    for r, x in p.items():
+        y = v.get(r, 0) - c * x
+        if y:
+            v[r] = y
+        else:
+            del v[r]
+
+
+class ColumnReduction:
+    """Column reduction of an integer matrix given by its column supports
+    (BoundaryMatrix.supports, or columns_of a dense matrix), each column
+    reduced at its last nonzero row (Edelsbrunner, Letscher and Zomorodian,
+    "Topological persistence and simplification", DCG 2002):
+
+    - against a unit pivot by exact subtraction, a unimodular column
+      operation;
+    - against any other pivot fraction-free, the result kept primitive.
+
+    Column j is a pivot iff it is outside the span of the columns before it,
+    so `pivots` is the lexicographically first column basis. A column reduced
+    by unimodular operations alone to a unit at a new row is a unit pivot;
+    invariant_factors() builds the Smith normal form on them."""
+
+    __slots__ = ("pivots", "_ones", "_units", "_rest")
+
+    def __init__(self, columns):
+        units = {}  # last row -> reduced column, +-1 at that row
+        others = {}  # last row -> primitive reduced column, not a unit there
+        pivots = []
+        rest = []  # a unimodular image of every other nonzero column
+        for j, col in enumerate(columns):
+            v = dict(col)
+            image = None  # v before its first fraction-free step
+            while v:
+                low = max(v)
+                p = units.get(low)
+                if p is not None:
+                    _subtract(v, v[low] * p[low], p)
+                    continue
+                p = others.get(low)
+                if p is None:
+                    break
+                if image is None:
+                    image = v
+                a, b = p[low], v[low]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                w = {r: a * x for r, x in v.items()}
+                _subtract(w, b, p)
+                g = gcd(*w.values())
+                v = {r: x // g for r, x in w.items()} if g > 1 else w
+            if v:
+                pivots.append(j)
+                if image is None and v[low] in (1, -1):
+                    units[low] = v
+                    continue
+                g = gcd(*v.values())
+                others[low] = {r: x // g for r, x in v.items()} if g > 1 else v
+            if image is not None or v:
+                rest.append(image or v)
+        self.pivots = tuple(pivots)
+        # the unit pivots' columns are kept only to clear the other columns
+        self._ones = len(units)
+        self._units = units if rest else {}
+        self._rest = rest
+
+    def invariant_factors(self) -> list:
+        """The Smith normal form d1 | d2 | ... | dr, all positive (Dumas,
+        Saunders and Villard, "On efficient sparse integer matrix Smith normal
+        form computations", J. Symbolic Comput. 32, 2001).
+
+        The unit pivot columns, ordered by their last rows, are unit
+        triangular at those rows, so each gives an invariant factor 1 and
+        eliminating it by unimodular column operations clears its row from
+        the other columns. Only what remains of those goes to the dense
+        minimal-pivot elimination."""
+        units = self._units
+        remainder = []
+        for col in self._rest:
+            v = dict(col)
+            while True:
+                low = max((r for r in v if r in units), default=None)
+                if low is None:
+                    break
+                p = units[low]
+                _subtract(v, v[low] * p[low], p)
+            if v:
+                remainder.append(v)
+        rows = sorted({r for v in remainder for r in v})
+        dense = [[v.get(r, 0) for v in remainder] for r in rows]
+        return [1] * self._ones + _minimal_pivot_smith(dense)
 
 
 def pivot_columns(M) -> list:
-    """Pivot columns of the fraction-free row echelon form of an integer
-    matrix: column c is a pivot iff it is not in the span of the columns
-    before it, so the pivots are the lexicographically first column basis.
-    Every row stays an integer row divided by its content."""
-    A = [list(r) for r in M]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        for piv in range(r, m):
-            if A[piv][c]:
-                break
-        else:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        Ar = A[r]
-        prc = Ar[c]
-        for i in range(r + 1, m):
-            Ai = A[i]
-            aic = Ai[c]
-            if aic:
-                # Ar is zero left of c, so only columns >= c change
-                for j in range(c, n):
-                    Ai[j] = prc * Ai[j] - aic * Ar[j]
-                A[i] = _primitive(Ai)
-        pivots.append(c)
-        r += 1
-    return pivots
+    """The pivot columns of an integer matrix: column c is a pivot iff it is
+    not in the span of the columns before it."""
+    return list(ColumnReduction(columns_of(M)).pivots)
 
 
 def rank(M) -> int:
-    """Rank over Q via fraction-free elimination."""
+    """Rank over Q: the number of pivot columns."""
     return len(pivot_columns(M))
 
 
 def smith_normal_form(M) -> list:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, all positive."""
-    if not M or not M[0]:
+    return ColumnReduction(columns_of(M)).invariant_factors()
+
+
+def _minimal_pivot_smith(A) -> list:
+    """Invariant factors of a dense integer matrix (a list of rows, changed
+    in place) by elimination with a minimal pivot."""
+    if not A or not A[0]:
         return []
-    A = [list(r) for r in M]
     m, n = len(A), len(A[0])
     factors = []
     t = 0
-    while True:
-        # locate a nonzero entry of minimal absolute value in A[t:, t:]
-        best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                x = Ai[j]
-                if x != 0 and (best is None or abs(x) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-                    if abs(x) == 1:
-                        break
-            if best is not None and abs(A[best[0]][best[1]]) == 1:
-                break
-        if best is None:
+    while t < min(m, n):
+        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not entries:
             break
-        bi, bj = best
+        _, bi, bj = min(entries)
         A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
+        for row in A:
+            row[t], row[bj] = row[bj], row[t]
         while True:
-            # clear column t by row operations, re-pivoting on remainders
-            repeat = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if A[i][t] != 0:
-                        A[t], A[i] = A[i], A[t]
-                        repeat = True
-            if repeat:
-                continue
-            # clear row t by column operations
-            repeat = False
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    # column t is zero below the pivot, so this column
-                    # operation changes row t only
-                    A[t][j] -= A[t][j] // A[t][t] * A[t][t]
-                    if A[t][j] != 0:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        repeat = True
-                        break
-            if repeat:
-                continue
-            # enforce divisibility of the remaining block by the pivot; a
-            # unit pivot divides everything
             piv = A[t][t]
-            if piv in (1, -1):
-                break
-            culprit = None
+            # a remainder below or right of the pivot becomes the new pivot
+            i = next((i for i in range(t + 1, m) if A[i][t] % piv), None)
+            if i is not None:
+                q = A[i][t] // piv
+                A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                A[t], A[i] = A[i], A[t]
+                continue
+            j = next((j for j in range(t + 1, n) if A[t][j] % piv), None)
+            if j is not None:
+                q = A[t][j] // piv
+                for row in A:
+                    row[j] -= q * row[t]
+                    row[t], row[j] = row[j], row[t]
+                continue
             for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % piv != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
+                q = A[i][t] // piv
+                A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+            for j in range(t + 1, n):
+                q = A[t][j] // piv
+                for row in A:
+                    row[j] -= q * row[t]
+            # the pivot must divide the rest; else add a culprit row to row t
+            i = next((i for i in range(t + 1, m) if any(x % piv for x in A[i][t + 1:])), None)
+            if i is None:
                 break
-            A[t] = [x + y for x, y in zip(A[t], A[culprit])]
+            A[t] = [x + y for x, y in zip(A[t], A[i])]
         factors.append(abs(A[t][t]))
         t += 1
-        if t == m or t == n:
-            break
     _require(all(b % a == 0 for a, b in zip(factors, factors[1:])), "SNF divisibility broken")
     return factors
 
@@ -342,12 +390,17 @@ class HomologySummary:
         return {"betti": self.betti, "torsion_order": self.torsion_order}
 
 
+def boundary_reduction(cx: SimplicialComplex, k: int) -> ColumnReduction:
+    """The column reduction of bd_k, k in [0, dim], memoised on the complex:
+    each boundary is eliminated once, for its pivots and its Smith form."""
+    return cx.memo(("reduction", k), lambda: ColumnReduction(cx.boundary_matrix(k).supports))
+
+
 def boundary_pivots(cx: SimplicialComplex, k: int) -> tuple:
-    """The pivot columns of bd_k (none outside [0, dim]), memoised on the
-    complex: each boundary is eliminated once."""
+    """The pivot columns of bd_k (none outside [0, dim])."""
     if k < 0 or k > cx.dim:
         return ()
-    return cx.memo(("pivots", k), lambda: tuple(pivot_columns(cx.boundary_matrix(k).as_lists())))
+    return boundary_reduction(cx, k).pivots
 
 
 def boundary_rank(cx: SimplicialComplex, k: int) -> int:
@@ -364,11 +417,9 @@ def homology(cx: SimplicialComplex, i: int) -> HomologySummary:
         rank_next = 0
         torsion = 1
     else:
-        rank_next = boundary_rank(cx, i + 1)
-        torsion = 1
-        for d in smith_normal_form(cx.boundary_matrix(i + 1).as_lists()):
-            if d > 1:
-                torsion *= d
+        factors = boundary_reduction(cx, i + 1).invariant_factors()
+        rank_next = len(factors)
+        torsion = prod(factors)
     return HomologySummary(dimension=i, betti=ker_dim - rank_next, torsion_order=torsion)
 
 

@@ -15,21 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .complexes import BoundaryMatrix, SimplicialComplex
 from .errors import DomainError, ExactnessError, InputError, ResourceLimitError, _require
 from .exactlinalg import (
+    ColumnReduction,
     HomologySummary,
-    _primitive,
     betti,
     boundary_pivots,
     boundary_rank,
     definite_det,
     homology,
     nonzero_eigenvalue_product,
-    rank,
-    smith_normal_form,
 )
 from .laurent import _poly, key_quotient
 
@@ -145,10 +143,6 @@ def star_ridges(cx: SimplicialComplex, k: int, p: int) -> tuple:
     return tuple(F for F in cx.faces_of_dim(k) if p in F)
 
 
-def _submatrix_columns(bd_lists, col_indices):
-    return [[row[j] for j in col_indices] for row in bd_lists]
-
-
 def _check_tree_dimension(cx: SimplicialComplex, k: int):
     if not 0 <= k <= cx.dim:
         raise InputError(f"tree dimension {k} out of range [0, {cx.dim}]")
@@ -167,7 +161,8 @@ def is_sst(cx: SimplicialComplex, k: int, facet_set) -> SstResult:
     """Check the SST conditions for T = facet_set inside the k-skeleton of cx,
     which shares bd_{k-1} and bd_k with cx: the forced facet count is
     dim ker bd_{k-1}, and a tree's certificate holds |H~_{k-1}| of T over the
-    (k-1)-skeleton, the product of the Smith normal form of bd_k at T."""
+    (k-1)-skeleton, the product of the Smith normal form of bd_k at T. One
+    column reduction of T's supports gives both the rank and that form."""
     _check_tree_dimension(cx, k)
     kfaces = cx.faces_of_dim(k)
     index = {F: i for i, F in enumerate(kfaces)}
@@ -177,15 +172,15 @@ def is_sst(cx: SimplicialComplex, k: int, facet_set) -> SstResult:
             raise InputError(f"{F} is not a {k}-face of the complex")
         if i and T[i - 1] == F:
             raise InputError(f"the face {F} is repeated")
-    bd = cx.boundary_matrix(k).as_lists()
-    sub = _submatrix_columns(bd, [index[F] for F in T])
-    r = rank(sub)
+    supports = cx.boundary_matrix(k).supports
+    reduction = ColumnReduction([supports[index[F]] for F in T])
+    r = len(reduction.pivots)
     ker_below = cx.f(k - 1) - boundary_rank(cx, k - 1)
     conds = (len(T) == r, ker_below == r, len(T) == ker_below)
     _require(sum(conds) != 2, "two-out-of-three violated")
     cert = None
     if all(conds):
-        torsion = prod(smith_normal_form(sub)) if k >= 2 else 1
+        torsion = prod(reduction.invariant_factors())
         cert = SstCertificate(facet_set=tuple(T),
                               homology_below=HomologySummary(k - 1, 0, torsion))
     return SstResult(is_tree=all(conds), conditions=conds, certificate=cert)
@@ -197,7 +192,12 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
 
     Trees are exactly the column bases of bd_k (the count condition pins the
     size to rank bd_k for an APC ambient skeleton), enumerated by DFS with an
-    incremental fraction-free echelon.
+    incremental fraction-free echelon on dense columns.
+
+    The DFS carries whether its path is unimodular: every stored pivot entry
+    is +-1 and no content was divided out. Such a tree's columns are then
+    unimodularly equivalent to a unit triangular block, so its torsion is 1;
+    only the other trees take a Smith normal form.
     """
     _require_apc(cx, k)
     kfaces = cx.faces_of_dim(k)
@@ -206,46 +206,55 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     if comb(n_cols, size) > cap:
         raise ResourceLimitError(
             f"{comb(n_cols, size)} candidate subsets exceed the cap {cap}")
-    bd = cx.boundary_matrix(k).as_lists()
-    cols = [[row[j] for row in bd] for j in range(n_cols)]
+    bd = cx.boundary_matrix(k)
+    supports = bd.supports
+    cols = [[col.get(r, 0) for r in range(bd.n_rows)] for col in map(dict, supports)]
 
     results = []
 
     def reduce_against(v, pivots):
+        """v reduced against the pivots, its first nonzero position, and
+        whether that entry is +-1 with no content divided out."""
+        plain = True
         for vec, pos in pivots:
             if v[pos] != 0:
                 a, b = vec[pos], v[pos]
-                v = _primitive([a * x - b * y for x, y in zip(v, vec)])
+                v = [a * x - b * y for x, y in zip(v, vec)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+                    plain = False
         for pos, x in enumerate(v):
             if x != 0:
-                return v, pos
-        return None, None
+                return v, pos, plain and x in (1, -1)
+        return None, None, False
 
-    def dfs(start, chosen, pivots):
+    def dfs(start, chosen, pivots, unimodular):
         if len(chosen) == size:
-            results.append(tuple(chosen))
+            results.append((tuple(chosen), unimodular))
             return
         need = size - len(chosen)
         for j in range(start, n_cols - need + 1):
-            vec, pos = reduce_against(cols[j], pivots)
+            vec, pos, unit = reduce_against(cols[j], pivots)
             if vec is None:
                 continue
             chosen.append(j)
             pivots.append((vec, pos))
-            dfs(j + 1, chosen, pivots)
+            dfs(j + 1, chosen, pivots, unimodular and unit)
             chosen.pop()
             pivots.pop()
 
     if size == 0:
-        results.append(())
+        results.append(((), True))
     else:
-        dfs(0, [], [])
+        dfs(0, [], [], True)
 
-    results.sort(key=lambda idxs: tuple(reversed(idxs)))  # colex over index sets
+    results.sort(key=lambda tree: tuple(reversed(tree[0])))  # colex over index sets
     tau = 0
     per_tree = []
-    for idxs in results:
-        torsion = prod(smith_normal_form(_submatrix_columns(bd, idxs))) if k >= 2 else 1
+    for idxs, unimodular in results:
+        torsion = 1 if unimodular else prod(
+            ColumnReduction([supports[j] for j in idxs]).invariant_factors())
         tau += torsion * torsion
         if include_trees:
             per_tree.append((tuple(kfaces[j] for j in idxs), torsion))

@@ -92,7 +92,7 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
     if n > cap:
         raise ResourceLimitError(
             f"symbolic determinant of size {n} exceeds the cap {cap}; "
-            "use random-evaluation mode instead")
+            "raise the cap with --det-cap (det_cap= in weighted_tau)")
     kind, pack, unpack, zero = _packing([row[j] for row in M.entries] for j in range(n))
     entries = [[[(pack(k), c) for k, c in e.terms.items()] for e in row] for row in M.entries]
     one = {0: 1}

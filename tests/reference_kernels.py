@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from simtree.complexes import SimplicialComplex
-from simtree.errors import ExactnessError, InputError
+from simtree.errors import ExactnessError, InputError, _require
 from simtree.exactlinalg import fraction_det, homology
 from simtree.laurent import LaurentPoly, monomial_for_face, raise_key, x_facet
 from simtree.trees import ridge_tree_reduction
@@ -157,6 +157,121 @@ def fraction_kernel_basis(M, n_cols=None):
             iv = [x // g for x in iv]
         basis.append(iv)
     return basis
+
+
+def pivot_columns_dense(M) -> list:
+    """Pivot columns of the fraction-free row echelon form of a dense integer
+    matrix: column c is a pivot iff it is not in the span of the columns
+    before it. Every row stays an integer row divided by its content."""
+    A = [list(r) for r in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for piv in range(r, m):
+            if A[piv][c]:
+                break
+        else:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        Ar = A[r]
+        prc = Ar[c]
+        for i in range(r + 1, m):
+            Ai = A[i]
+            aic = Ai[c]
+            if aic:
+                # Ar is zero left of c, so only columns >= c change
+                for j in range(c, n):
+                    Ai[j] = prc * Ai[j] - aic * Ar[j]
+                g = gcd(*Ai)
+                if g > 1:
+                    A[i] = [x // g for x in Ai]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def smith_normal_form_dense(M) -> list:
+    """Invariant factors d1 | d2 | ... | dr of a dense integer matrix, all
+    positive, by elimination with a minimal pivot over the whole matrix,
+    skipping the divisibility scan whenever the pivot is a unit."""
+    if not M or not M[0]:
+        return []
+    A = [list(r) for r in M]
+    m, n = len(A), len(A[0])
+    factors = []
+    t = 0
+    while True:
+        # locate a nonzero entry of minimal absolute value in A[t:, t:]
+        best = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                x = Ai[j]
+                if x != 0 and (best is None or abs(x) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+                    if abs(x) == 1:
+                        break
+            if best is not None and abs(A[best[0]][best[1]]) == 1:
+                break
+        if best is None:
+            break
+        bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        if bj != t:
+            for row in A:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            # clear column t by row operations, re-pivoting on remainders
+            repeat = False
+            for i in range(t + 1, m):
+                if A[i][t] != 0:
+                    q = A[i][t] // A[t][t]
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                    if A[i][t] != 0:
+                        A[t], A[i] = A[i], A[t]
+                        repeat = True
+            if repeat:
+                continue
+            # clear row t by column operations
+            repeat = False
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    # column t is zero below the pivot, so this column
+                    # operation changes row t only
+                    A[t][j] -= A[t][j] // A[t][t] * A[t][t]
+                    if A[t][j] != 0:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        repeat = True
+                        break
+            if repeat:
+                continue
+            # enforce divisibility of the remaining block by the pivot; a
+            # unit pivot divides everything
+            piv = A[t][t]
+            if piv in (1, -1):
+                break
+            culprit = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % piv != 0:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            A[t] = [x + y for x, y in zip(A[t], A[culprit])]
+        factors.append(abs(A[t][t]))
+        t += 1
+        if t == m or t == n:
+            break
+    _require(all(b % a == 0 for a, b in zip(factors, factors[1:])), "SNF divisibility broken")
+    return factors
 
 
 def ridge_tree_torsion_reference(cx, k, U) -> int:

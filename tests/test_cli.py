@@ -54,6 +54,13 @@ def test_count_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_weighted_det_cap_exit_3(capsys):
+    code, out, err = run(capsys, "weighted", "--complex", f"{DATA}/bipyramid.json",
+                         "--scheme", "coarse", "--det-cap", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "exceeds the cap 2" in err and "--det-cap" in err
+
+
 def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "count", "--complex", "/nonexistent.json", "--dim", "1")
     assert code == 1

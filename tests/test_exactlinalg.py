@@ -7,15 +7,23 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_kernels import char_poly_fraction, mat_mul
+from reference_kernels import (
+    char_poly_fraction,
+    mat_mul,
+    pivot_columns_dense,
+    smith_normal_form_dense,
+)
 
 import simtree
 from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
+from simtree.corpus import enumerate_shifted_complexes
 from simtree.exactlinalg import (
+    ColumnReduction,
     bareiss_det,
     betti,
     char_poly,
+    columns_of,
     definite_det,
     fraction_det,
     homology,
@@ -28,8 +36,11 @@ from simtree.exactlinalg import (
 )
 from simtree.fixtures import (
     bipyramid,
+    complete_bipartite,
+    complete_graph,
     rp2_six_vertices,
     simplex_skeleton,
+    tetrahedron_boundary,
     two_disjoint_edges,
 )
 
@@ -37,6 +48,63 @@ small_matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
                            min_size=m, max_size=m)))
+
+
+# Integer matrices with non-unit entries, forced zero columns and empty shapes.
+kernel_matrices = st.tuples(
+    st.integers(0, 6).flatmap(
+        lambda m: st.integers(0, 7).flatmap(
+            lambda n: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -4, 6)),
+                                        min_size=n, max_size=n), min_size=m, max_size=m))),
+    st.sets(st.integers(0, 6))).map(
+        lambda mz: [[0 if j in mz[1] else x for j, x in enumerate(row)] for row in mz[0]])
+
+# Random 2-complexes on 7 vertices: a set of triangles and a set of edges.
+TRIANGLES_7 = list(itertools.combinations(range(1, 8), 3))
+EDGES_7 = list(itertools.combinations(range(1, 8), 2))
+complexes_7 = st.tuples(st.sets(st.sampled_from(TRIANGLES_7), min_size=1, max_size=18),
+                        st.sets(st.sampled_from(EDGES_7), max_size=6)).map(
+    lambda te: SimplicialComplex.from_facets(sorted(te[0]) + sorted(te[1])))
+
+
+def _kernel_matches_dense(columns, n_rows):
+    """The kernel on column supports against the dense references."""
+    dense = [[0] * len(columns) for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            dense[i][j] = x
+    reduction = ColumnReduction(columns)
+    assert list(reduction.pivots) == pivot_columns_dense(dense)
+    assert reduction.invariant_factors() == smith_normal_form_dense(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices)
+def test_column_kernel_matches_dense_references(M):
+    assert pivot_columns(M) == pivot_columns_dense(M)
+    assert smith_normal_form(M) == smith_normal_form_dense(M)
+
+
+def test_column_kernel_on_corpus_and_fixture_boundaries():
+    fixtures = [bipyramid(), rp2_six_vertices(), tetrahedron_boundary(), two_disjoint_edges(),
+                simplex_skeleton(6, 3), complete_graph(5), complete_bipartite(3, 3)]
+    count = 0
+    for cx in fixtures + list(enumerate_shifted_complexes(6, 2)):
+        for k in range(cx.dim + 1):
+            bd = cx.boundary_matrix(k)
+            _kernel_matches_dense(bd.supports, bd.n_rows)
+            count += 1
+    assert count > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes_7, st.sampled_from((1, 2)), st.randoms(use_true_random=False))
+def test_column_kernel_on_random_complexes(cx, k, rnd):
+    bd = cx.boundary_matrix(k)
+    _kernel_matches_dense(bd.supports, bd.n_rows)
+    # a random set of the k-faces, as is_sst and the oracle take them
+    cols = sorted(rnd.sample(range(bd.n_cols), rnd.randint(0, bd.n_cols)))
+    _kernel_matches_dense([bd.supports[j] for j in cols], bd.n_rows)
 
 
 def test_snf_examples():

@@ -2,8 +2,10 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_exactlinalg import complexes_7, kernel_matrices
 
 from simtree.exactlinalg import (
+    ColumnReduction,
     bareiss_det,
     char_poly,
     definite_det,
@@ -11,6 +13,7 @@ from simtree.exactlinalg import (
     rank,
     smith_normal_form,
 )
+from simtree.fixtures import rp2_six_vertices
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
@@ -54,7 +57,7 @@ def test_definite_det_matches_sympy(M):
 
 
 @settings(max_examples=80, deadline=None)
-@given(matrices)
+@given(st.one_of(matrices, sparse))
 def test_rank_matches_sympy(M):
     assert rank(M) == sympy.Matrix(M).rank()
 
@@ -65,11 +68,24 @@ def test_pivot_columns_match_sympy_rref(M):
     assert tuple(pivot_columns(M)) == sympy.Matrix(M).rref()[1]
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices)
+def _sympy_invariant_factors(M):
+    return [int(d) for d in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if d != 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, sparse, kernel_matrices.filter(lambda M: M and M[0])))
 def test_smith_normal_form_matches_sympy(M):
-    expected = [int(d) for d in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if d != 0]
-    assert smith_normal_form(M) == expected
+    assert smith_normal_form(M) == _sympy_invariant_factors(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(complexes_7, st.just(rp2_six_vertices())), st.sampled_from((1, 2)))
+def test_column_kernel_on_boundaries_matches_sympy(cx, k):
+    bd = cx.boundary_matrix(k)
+    reduction = ColumnReduction(bd.supports)
+    M = sympy.Matrix(bd.as_lists())
+    assert reduction.pivots == M.rref()[1]
+    assert reduction.invariant_factors() == _sympy_invariant_factors(M)
 
 
 @settings(max_examples=80, deadline=None)

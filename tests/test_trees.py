@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from reference_kernels import (
     dense_up_down_laplacian,
     find_sst_reverse_delete,
     ridge_tree_torsion_reference,
+    smith_normal_form_dense,
 )
 
 from simtree import exactlinalg
@@ -113,6 +114,24 @@ def test_enumerate_rp2_torsion():
     assert len(count.per_tree) == 1
     assert count.per_tree[0][1] == 2
     assert count.tau == 4
+
+
+def test_enumerate_torsion_matches_dense_snf_per_tree():
+    # relabelled RP^2s plus one triangle: RP^2 is the one tree with torsion
+    # 2; relabelling changes the order in which the DFS meets the faces
+    for perm in permutations((3, 4, 5, 6)):
+        label = dict(zip(range(1, 7), (1, 2) + perm))
+        rp2 = [tuple(sorted(label[v] for v in F)) for F in rp2_six_vertices().faces_of_dim(2)]
+        extra = next(F for F in combinations(range(1, 7), 3) if F not in rp2)
+        cx = SimplicialComplex.from_facets([*rp2, extra])
+        count = enumerate_ssts(cx, 2)
+        index = {F: j for j, F in enumerate(cx.faces_of_dim(2))}
+        bd = cx.boundary_matrix(2).as_lists()
+        for T, torsion in count.per_tree:
+            at_tree = [[row[index[F]] for F in T] for row in bd]
+            assert torsion == prod(smith_normal_form_dense(at_tree))
+        assert sorted(t for _, t in count.per_tree) == [1] * 10 + [2]
+        assert count.tau == 14
 
 
 def test_enumerate_respects_cap():
@@ -279,21 +298,23 @@ def test_torsion_ridge_tree():
 
 def test_counts_build_no_complex_and_eliminate_each_boundary_once(monkeypatch):
     built, eliminated = [], []
-    real_init, real_pivots = SimplicialComplex.__init__, exactlinalg.pivot_columns
+    real_init, real_reduce = SimplicialComplex.__init__, exactlinalg.ColumnReduction.__init__
 
     def counting_init(self, faces):
         built.append(self)
         real_init(self, faces)
 
-    def counting_pivots(M):
-        eliminated.append(M)
-        return real_pivots(M)
+    def counting_reduce(self, columns):
+        columns = [tuple(col) for col in columns]
+        eliminated.append(columns)
+        real_reduce(self, columns)
 
     monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
-    monkeypatch.setattr(exactlinalg, "pivot_columns", counting_pivots)
-    # each count eliminates bd_0..bd_k once; besides them, the reduced
-    # Laplacian route eliminates bd_{k-1} at U (is_sst's rank), and the
-    # alternating product one Laplacian per pi_j
+    monkeypatch.setattr(exactlinalg.ColumnReduction, "__init__", counting_reduce)
+    # each count eliminates bd_0..bd_k once, for their ranks and Smith forms;
+    # besides them, the reduced Laplacian route eliminates bd_{k-1} at U
+    # (is_sst's rank and torsion), and the alternating product one Laplacian
+    # per pi_j
     counts = [(3, lambda cx: tau_via_reduced_laplacian(cx, 3), 5),
               (2, lambda cx: tau_via_reduced_laplacian(cx, 2), 4),
               (3, tau_via_alternating_product, 8)]
@@ -304,7 +325,7 @@ def test_counts_build_no_complex_and_eliminate_each_boundary_once(monkeypatch):
         assert count(cx) == 7 ** 10  # Kalai: 7^C(5,k) for k = 2, 3
         assert built == [] and len(eliminated) == eliminations
         for j in range(k + 1):
-            assert eliminated.count(cx.boundary_matrix(j).as_lists()) == 1
+            assert eliminated.count(list(cx.boundary_matrix(j).supports)) == 1
     cx = simplex_skeleton(5, 2)
     built.clear()
     assert weighted_tau(cx, "coarse").all_ones() == 5 ** 3

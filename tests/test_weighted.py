@@ -211,8 +211,11 @@ def test_symbolic_det_examples():
     big = SymbolicMatrix(rows=tuple(range(13)), cols=tuple(range(13)),
                          entries=tuple(tuple(LaurentPoly.one() for _ in range(13))
                                        for _ in range(13)))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="size 13 exceeds the cap 12; raise the cap "
+                       "with --det-cap"):
         symbolic_det(big)
+    with pytest.raises(ResourceLimitError, match=r"size 5 exceeds the cap 2; .*det_cap="):
+        weighted_tau(bipyramid(), "coarse", det_cap=2)
     assert symbolic_det(SymbolicMatrix(rows=(), cols=(), entries=())) == LaurentPoly.one()
 
 
