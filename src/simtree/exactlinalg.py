@@ -136,6 +136,12 @@ def columns_of(M) -> list:
     return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*M)]
 
 
+def _primitive(v):
+    """The sparse column v divided by the gcd of its entries."""
+    g = gcd(*v.values())
+    return {r: x // g for r, x in v.items()} if g > 1 else v
+
+
 def _subtract(v, c, p):
     """v -= c * p on sparse columns ({row: nonzero value}), in place."""
     for r, x in p.items():
@@ -187,16 +193,14 @@ class ColumnReduction:
                 a, b = a // g, b // g
                 w = {r: a * x for r, x in v.items()}
                 _subtract(w, b, p)
-                g = gcd(*w.values())
-                v = {r: x // g for r, x in w.items()} if g > 1 else w
+                v = _primitive(w)
             if v:
                 pivots.append(j)
                 if image is None and v[low] in (1, -1):
                     units[low] = v
                     continue
-                g = gcd(*v.values())
-                others[low] = {r: x // g for r, x in v.items()} if g > 1 else v
-            if image is not None or v:
+                others[low] = _primitive(v)
+            if image or v:
                 rest.append(image or v)
         self.pivots = tuple(pivots)
         # the unit pivots' columns are kept only to clear the other columns

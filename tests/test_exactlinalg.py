@@ -2,7 +2,7 @@ import ast
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from simtree.errors import ExactnessError, InputError, _require
 from simtree.corpus import enumerate_shifted_complexes
 from simtree.exactlinalg import (
     ColumnReduction,
+    HomologySummary,
     bareiss_det,
     betti,
     char_poly,
@@ -243,6 +244,13 @@ def test_homology_examples():
     assert (homology(B, 2).betti, homology(B, 2).torsion_order) == (2, 1)
     with pytest.raises(InputError):
         homology(B, 5)
+
+
+def test_homology_of_a_large_skeleton():
+    # bd_4 of the 4-skeleton of the simplex on 16 vertices is 1820 x 4368
+    cx = simplex_skeleton(16, 4)
+    assert homology(cx, 3) == HomologySummary(3, 0, 1)
+    assert homology(cx, 4) == HomologySummary(4, comb(15, 5), 1)
 
 
 def test_homology_of_empty_complex():
