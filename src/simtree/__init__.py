@@ -17,7 +17,7 @@ from .trees import (
     tau_via_alternating_product,
     tau_via_reduced_laplacian,
 )
-from .weighted import weighted_oracle, weighted_tau
+from .weighted import weighted_oracle, weighted_tau, weighted_tau_at_points
 from .shifted import (
     SpectrumMultiset,
     ZPolynomial,
@@ -62,5 +62,6 @@ __all__ = [
     "unweighted_spectrum_duval_reiner",
     "weighted_oracle",
     "weighted_tau",
+    "weighted_tau_at_points",
     "z_poly",
 ]

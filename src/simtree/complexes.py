@@ -20,6 +20,14 @@ from .errors import InputError, ResourceLimitError, _require
 
 Face = tuple  # tuple[int, ...], strictly increasing
 
+# The face budget. SimplicialComplex.closure refuses a generator G once the
+# faces built so far plus its 2^|G| subsets would pass it. shifted_ideal_faces
+# (shifted generators, shifted.hear_shape) counts 2^|F| for each new face F of
+# its order ideals, itself and the subsets closure builds from it, so what it
+# accepts passes closure too. A complex on at most 6 vertices, the acceptance
+# scale, counts at most 3^6 = 729.
+FACE_CAP = 50_000
+
 
 def face(vertices) -> Face:
     """Normalize an iterable of vertices into a face tuple."""
@@ -62,14 +70,6 @@ class BoundaryMatrix:
     def n_cols(self):
         return len(self.cols)
 
-    def as_lists(self):
-        """The dense row-major matrix, a fresh list of lists."""
-        dense = [[0] * len(self.cols) for _ in self.rows]
-        for j, col in enumerate(self.supports):
-            for i, s in col:
-                dense[i][j] = s
-        return dense
-
 
 class SimplicialComplex:
     """A finite simplicial complex, stored as the full downward-closed face set."""
@@ -104,9 +104,14 @@ class SimplicialComplex:
 
     @classmethod
     def closure(cls, generators) -> "SimplicialComplex":
+        """All subsets of the generators. Raises ResourceLimitError before a
+        generator would take the faces past FACE_CAP."""
         faces = set()
         for G in generators:
             G = face(G)
+            if len(faces) + (1 << len(G)) > FACE_CAP:
+                raise ResourceLimitError(
+                    f"the complex would build more than {FACE_CAP} faces (the face budget)")
             for r in range(len(G) + 1):
                 faces.update(itertools.combinations(G, r))
         return cls(faces)
@@ -143,9 +148,6 @@ class SimplicialComplex:
     def f(self, i: int) -> int:
         return len(self._by_dim.get(i, ()))
 
-    def f_vector(self) -> tuple:
-        return tuple(self.f(i) for i in range(-1, self.dim + 1))
-
     def facets(self) -> tuple:
         """Inclusion-maximal faces."""
         out = []
@@ -155,10 +157,6 @@ class SimplicialComplex:
                 if not any(fs < set(G) for e in self._by_dim if e > d for G in self._by_dim[e]):
                     out.append(F)
         return tuple(sorted(out, key=lambda F: (len(F), F)))
-
-    def is_pure(self) -> bool:
-        d = self.dim
-        return all(len(F) - 1 == d for F in self.facets())
 
     def __contains__(self, F) -> bool:
         return tuple(F) in self._faces
@@ -210,15 +208,6 @@ class SimplicialComplex:
             raise InputError(f"vertex {v} not in complex")
         return SimplicialComplex(tuple(u for u in F if u != v) for F in self._faces)
 
-    def cone(self, p: int) -> "SimplicialComplex":
-        if p in self._vertices:
-            raise InputError(f"cone apex {p} already a vertex")
-        if p < 1:
-            raise InputError("cone apex must be a positive integer")
-        faces = set(self._faces)
-        faces.update(tuple(sorted(F + (p,))) for F in self._faces)
-        return SimplicialComplex(faces)
-
     # -- boundary matrices ----------------------------------------------
 
     def boundary_matrix(self, k: int) -> BoundaryMatrix:
@@ -264,6 +253,15 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     return True
 
 
+def lower_covers(A: Face, p: int):
+    """The faces A covers componentwise: one entry lowered by 1, the tuple
+    staying strictly increasing with entries >= p."""
+    for idx, a in enumerate(A):
+        b = a - 1
+        if b >= p and (idx == 0 or b > A[idx - 1]):
+            yield A[:idx] + (b,) + A[idx + 1:]
+
+
 def _ideal_below(gen: Face, p: int):
     """All strictly increasing tuples componentwise <= gen with entries >= p."""
 
@@ -278,18 +276,10 @@ def _ideal_below(gen: Face, p: int):
     yield from rec(0, p)
 
 
-# Shifted complexes are built as unions of order ideals (from generators, or
-# from spectra in shifted.hear_shape); building stops once the faces pass this
-# cap. A new face F counts 2^|F|, itself and the subsets closure builds from
-# it, so a complex on at most 6 vertices, the acceptance scale, counts at most
-# 3^6 = 729.
-SHIFTED_FACE_CAP = 50_000
-
-
 def shifted_ideal_faces(generators, p: int) -> set:
     """The union of the componentwise order ideals below the generators, with
     entries >= p. Raises ResourceLimitError once the faces it would build pass
-    SHIFTED_FACE_CAP."""
+    FACE_CAP."""
     faces = set()
     built = 0
     for gen in generators:
@@ -299,9 +289,9 @@ def shifted_ideal_faces(generators, p: int) -> set:
             if F not in faces:
                 faces.add(F)
                 built += 1 << len(F)
-                if built > SHIFTED_FACE_CAP:
+                if built > FACE_CAP:
                     raise ResourceLimitError(
-                        f"the shifted complex would build more than {SHIFTED_FACE_CAP} faces")
+                        f"the shifted complex would build more than {FACE_CAP} faces")
     return faces
 
 
@@ -318,10 +308,6 @@ def shifted_from_generators(generators, p: int) -> SimplicialComplex:
 
 
 # -- JSON interchange ---------------------------------------------------
-
-
-def complex_to_json_dict(cx: SimplicialComplex) -> dict:
-    return {"facets": [list(F) for F in cx.facets() if F]}
 
 
 def _json_faces(data: dict, key: str) -> list:

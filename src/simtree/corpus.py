@@ -7,19 +7,12 @@ import itertools
 import random
 from functools import lru_cache
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, lower_covers
 from .errors import _require
 from .exactlinalg import is_apc
 from .shifted import lsg_direct
 
 DEFAULT_SEED = 20080814
-
-
-def _lower_covers(A: tuple):
-    for idx, a in enumerate(A):
-        b = a - 1
-        if b >= 1 and (idx == 0 or b > A[idx - 1]):
-            yield A[:idx] + (b,) + A[idx + 1:]
 
 
 def componentwise_ideals(q: int, k: int):
@@ -30,7 +23,7 @@ def componentwise_ideals(q: int, k: int):
     lower cover is already in.
     """
     elems = sorted(itertools.combinations(range(1, q + 1), k), key=lambda A: (sum(A), A))
-    covers = [tuple(_lower_covers(A)) for A in elems]
+    covers = [tuple(lower_covers(A, 1)) for A in elems]
     n = len(elems)
     chosen = set()
 

@@ -201,13 +201,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self):
-        if not self.terms:
-            return 0
-        if list(self.terms) != [()]:
-            raise InputError("polynomial is not constant")
-        return self.terms[()]
-
     def variables(self):
         return sorted({vid for key in self.terms for vid, _ in key})
 
@@ -269,19 +262,6 @@ class LaurentPoly:
         return product([self, other])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative powers are not supported")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def div_exact(self, other) -> "LaurentPoly":
         """Exact division by a monomial, a unit of the Laurent ring up to its
@@ -381,16 +361,8 @@ def _quotient(c, d):
 # -- variable constructors (X = x^2) ---------------------------------------
 
 
-def x_fine(i: int, j: int, exp: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial({(FINE, i, j): exp})
-
-
 def X_fine(i: int, j: int, exp: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial({(FINE, i, j): 2 * exp})
-
-
-def x_coarse(j: int, exp: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial({(COARSE, j): exp})
 
 
 def X_coarse(j: int, exp: int = 1) -> LaurentPoly:
@@ -399,10 +371,6 @@ def X_coarse(j: int, exp: int = 1) -> LaurentPoly:
 
 def x_facet(F, exp: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial({(FACET, tuple(F)): exp})
-
-
-def X_facet(F, exp: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial({(FACET, tuple(F)): 2 * exp})
 
 
 def monomial_for_face(F, weighting: str = "fine", squared: bool = True) -> LaurentPoly:

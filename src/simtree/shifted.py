@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, is_shifted, shifted_ideal_faces
+from .complexes import SimplicialComplex, is_shifted, lower_covers, shifted_ideal_faces
 from .errors import DomainError, ExactnessError, InputError, _require
 from .exactlinalg import betti
 from .laurent import (
@@ -64,31 +64,15 @@ class CriticalPair:
         return (S, T)
 
 
-def is_shifted_family(family, initial_vertex: int | None = None) -> bool:
-    """Order-ideal test relative to the ground set [p, oo): closed under
-    decrementing one coordinate while staying >= p."""
-    fam = {tuple(F) for F in family}
-    if not fam:
-        return True
-    p = initial_vertex if initial_vertex is not None else min(F[0] for F in fam)
-    for A in fam:
-        for idx, a in enumerate(A):
-            b = a - 1
-            if b >= p and (idx == 0 or b > A[idx - 1]):
-                if A[:idx] + (b,) + A[idx + 1:] not in fam:
-                    return False
-    return True
-
-
 def critical_pairs(family, initial_vertex: int | None = None) -> list:
     """All critical pairs of a shifted k-family, in lex order of members."""
     fam = sorted({tuple(F) for F in family})
     if not fam:
         return []
     p = initial_vertex if initial_vertex is not None else min(F[0] for F in fam)
-    if not is_shifted_family(fam, p):
-        raise DomainError("family is not shifted")
     fam_set = set(fam)
+    if not all(c in fam_set for A in fam for c in lower_covers(A, p)):
+        raise DomainError("family is not shifted")
     pairs = []
     for A in fam:
         for idx in range(len(A)):
@@ -226,7 +210,7 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
     the complex is the closure of the componentwise order ideals below all
     short signatures. The result's spectra are recomputed and must match the
     input multisets. Raises ResourceLimitError once the faces it would build
-    pass complexes.SHIFTED_FACE_CAP.
+    pass complexes.FACE_CAP.
     """
     pairs_by_dim = {}
     for i, spec in spectra.items():

@@ -369,14 +369,16 @@ def _euler_ok(cx: SimplicialComplex) -> bool:
 
 
 def _boundary_squares_to_zero(cx: SimplicialComplex) -> bool:
+    """bd_{k-1} bd_k = 0 on the column supports: each column of bd_k, pushed
+    through the columns of bd_{k-1} at its rows, sums to zero."""
     for k in range(1, cx.dim + 1):
-        a = cx.boundary_matrix(k - 1).as_lists()
-        b = cx.boundary_matrix(k).as_lists()
-        if not a or not a[0]:
-            continue
-        for col in zip(*b):
-            image = [sum(r * c for r, c in zip(row, col)) for row in a]
-            if any(image):
+        below = cx.boundary_matrix(k - 1).supports
+        for col in cx.boundary_matrix(k).supports:
+            image = {}
+            for i, s in col:
+                for r, t in below[i]:
+                    image[r] = image.get(r, 0) + s * t
+            if any(image.values()):
                 return False
     return True
 

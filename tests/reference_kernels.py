@@ -7,6 +7,7 @@ the tests require identical results from both.
 from fractions import Fraction
 from math import gcd
 
+from helpers import dense
 from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
 from simtree.exactlinalg import fraction_det, homology
@@ -97,7 +98,7 @@ def char_poly_fraction(M) -> list:
 
 def dense_up_down_laplacian(cx, k):
     """bd_k bd_k^T as a dense triple loop over the dense boundary matrix."""
-    bd = cx.boundary_matrix(k).as_lists()
+    bd = dense(cx.boundary_matrix(k))
     n = len(bd)
     if n == 0:
         return []
@@ -287,7 +288,7 @@ def find_sst_reverse_delete(cx, k) -> tuple:
     coefficient. Assumes an APC k-skeleton."""
     amb = cx.skeleton(k)
     kfaces = amb.faces_of_dim(k)
-    bd = amb.boundary_matrix(k).as_lists()
+    bd = dense(amb.boundary_matrix(k))
     chosen = list(range(len(kfaces)))
     while True:
         sub = [[row[j] for j in chosen] for row in bd]
@@ -659,7 +660,11 @@ def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def poly_pow(p: LaurentPoly, n: int) -> LaurentPoly:
-    """p ** n, with a negative n taken as the exact inverse of p ** -n."""
+    """p to the n-th power as a chain of products, with a negative n taken as
+    the exact inverse of the (-n)-th power."""
     if n < 0:
-        return poly_div_exact(LaurentPoly.one(), p ** (-n))
-    return p ** n
+        return poly_div_exact(LaurentPoly.one(), poly_pow(p, -n))
+    result = LaurentPoly.one()
+    for _ in range(n):
+        result = result * p
+    return result

@@ -240,6 +240,16 @@ def test_generators_face_cap_exit_3(tmp_path, capsys, source):
     assert err.startswith("error: ") and "50000 faces" in err
 
 
+def test_facet_face_budget_exit_3(tmp_path, capsys):
+    path = tmp_path / "facet.json"
+    path.write_text(json.dumps({"facets": [list(range(1, 31))]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--complex", str(path), "--dim", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "50000 faces (the face budget)" in err
+
+
 @pytest.mark.parametrize("dim", ["-1", "3"])
 def test_count_laplacian_dimension_out_of_range_exit_1(capsys, dim):
     code, out, err = run(capsys, "count", "--complex", f"{DATA}/bipyramid.json",

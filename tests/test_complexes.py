@@ -3,13 +3,13 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import complex_to_json_dict, cone, dense, f_vector
 from reference_kernels import is_shifted_all_pairs, vertex_sign
 
 from simtree.complexes import (
-    SHIFTED_FACE_CAP,
+    FACE_CAP,
     SimplicialComplex,
     complex_from_json_dict,
-    complex_to_json_dict,
     face,
     face_label,
     is_shifted,
@@ -68,7 +68,7 @@ def test_from_facets_rejects_duplicates():
 
 
 def test_bipyramid_f_vector():
-    assert bipyramid().f_vector() == (1, 5, 9, 7)
+    assert f_vector(bipyramid()) == (1, 5, 9, 7)
 
 
 def test_downward_closure_validated():
@@ -120,7 +120,7 @@ def test_link_and_deletion_of_bipyramid_at_1():
     assert set(link1.faces_of_dim(1)) == {(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)}
     del1 = B.deletion(1)
     assert del1 == bipyramid_subcomplex(2)
-    assert del1 == bipyramid_subcomplex(4).cone(2)
+    assert del1 == cone(bipyramid_subcomplex(4), 2)
     with pytest.raises(InputError):
         B.link(9)
 
@@ -132,33 +132,33 @@ def test_link_of_triangle():
 
 def test_cone():
     edge = SimplicialComplex.from_facets([[2, 3]])
-    assert edge.cone(1) == SimplicialComplex.from_facets([[1, 2, 3]])
-    assert bipyramid_subcomplex(4).cone(2) == bipyramid_subcomplex(2)
-    assert SimplicialComplex.empty().cone(5) == bipyramid_subcomplex(7)
+    assert cone(edge, 1) == SimplicialComplex.from_facets([[1, 2, 3]])
+    assert cone(bipyramid_subcomplex(4), 2) == bipyramid_subcomplex(2)
+    assert cone(SimplicialComplex.empty(), 5) == bipyramid_subcomplex(7)
     with pytest.raises(InputError):
-        edge.cone(2)
+        cone(edge, 2)
 
 
 def test_boundary_matrix_edge():
     edge = SimplicialComplex.from_facets([[1, 2]])
     bd = edge.boundary_matrix(1)
     assert bd.rows == ((1,), (2,))
-    assert [row[0] for row in bd.as_lists()] == [-1, 1]
+    assert [row[0] for row in dense(bd)] == [-1, 1]
 
 
 def test_boundary_matrix_triangle():
     tri = SimplicialComplex.from_facets([[1, 2, 3]])
     bd = tri.boundary_matrix(2)
     assert bd.rows == ((1, 2), (1, 3), (2, 3))
-    assert [row[0] for row in bd.as_lists()] == [1, -1, 1]
+    assert [row[0] for row in dense(bd)] == [1, -1, 1]
     assert bd.supports == (((2, 1), (1, -1), (0, 1)),)  # (row, sign) by deleted position
 
 
 def test_boundary_composition_zero():
     for cx in (bipyramid(), rp2_six_vertices(), tetrahedron_boundary()):
         for k in range(1, cx.dim + 1):
-            a = cx.boundary_matrix(k - 1).as_lists()
-            b = cx.boundary_matrix(k).as_lists()
+            a = dense(cx.boundary_matrix(k - 1))
+            b = dense(cx.boundary_matrix(k))
             for col in zip(*b):
                 assert not any(sum(r * c for r, c in zip(row, col)) for row in a)
 
@@ -167,12 +167,12 @@ def test_boundary_k0_maps_to_empty_face():
     cx = SimplicialComplex.from_facets([[1, 2]])
     bd = cx.boundary_matrix(0)
     assert bd.rows == ((),)
-    assert bd.as_lists() == [[1, 1]]
+    assert dense(bd) == [[1, 1]]
 
 
 def test_boundary_dimension_range():
     points = SimplicialComplex.from_facets([[1], [2], [3]])
-    assert points.boundary_matrix(1).as_lists() == [[], [], []]  # k = dim + 1
+    assert dense(points.boundary_matrix(1)) == [[], [], []]  # k = dim + 1
     for k in (-1, 2):
         with pytest.raises(InputError, match=r"out of range \[0, 1\]"):
             points.boundary_matrix(k)
@@ -190,9 +190,26 @@ def test_shifted_from_generators_bipyramid():
 ])
 def test_shifted_from_generators_face_cap(generators):
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=f"more than {SHIFTED_FACE_CAP} faces"):
+    with pytest.raises(ResourceLimitError, match=f"more than {FACE_CAP} faces"):
         shifted_from_generators(generators, 1)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("build", [SimplicialComplex.from_facets,
+                                   lambda facets: complex_from_json_dict({"facets": facets})])
+def test_closure_face_budget(build):
+    # one facet on 30 vertices would build 2^30 faces: refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"more than {FACE_CAP} faces"):
+        build([list(range(1, 31))])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_closure_face_budget_counts_the_faces_built_so_far():
+    assert SimplicialComplex.closure([range(1, 16)]).f(14) == 1  # 2^15 faces
+    with pytest.raises(ResourceLimitError, match="face budget"):
+        SimplicialComplex.closure([range(1, 16), range(16, 31)])
+    assert f_vector(simplex_skeleton(16, 4)) == (1, 16, 120, 560, 1820, 4368)
 
 
 def test_is_shifted():

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import constant_value, x_coarse
 
 from simtree.errors import ExactnessError, InputError, ResourceLimitError
 from simtree.laurent import (
@@ -17,8 +18,6 @@ from simtree.laurent import (
     poly_to_json_dict,
     product,
     product_sum,
-    x_coarse,
-    x_fine,
 )
 from reference_kernels import (
     FractionLaurentPoly,
@@ -151,7 +150,7 @@ _values = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
 def test_evaluate_matches_substitute(p, values, unassigned):
     full = {("c", j): v for j, v in enumerate(values, start=1)}
     try:
-        expected = p.substitute(full).constant_value()
+        expected = constant_value(p.substitute(full))
     except ExactnessError:  # zero at a negative exponent
         with pytest.raises(ExactnessError):
             p.evaluate(full)
@@ -229,17 +228,17 @@ def test_product_sum_matches_products():
 
 def test_pow():
     e = X_coarse(1) + 1
-    assert e ** 0 == LaurentPoly.one()
-    assert e ** 3 == e * e * e
+    assert poly_pow(e, 0) == LaurentPoly.one()
+    assert poly_pow(e, 3) == X_coarse(1, 3) + 3 * X_coarse(1, 2) + 3 * X_coarse(1) + 1
     assert poly_pow(X_coarse(1), -1) == LaurentPoly.one().div_exact(X_coarse(1))
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):  # no ** on polynomials; poly_pow is the test route
         X_coarse(1) ** -1
 
 
 def test_integral_fractions_are_stored_as_ints():
     p = LaurentPoly({(("c", 1),): Fraction(4, 2), (): Fraction(3, 2)})
     assert [type(c) for c in p.terms.values()] == [int, Fraction]
-    assert type(LaurentPoly.constant(Fraction(6, 3)).constant_value()) is int
+    assert type(constant_value(LaurentPoly.constant(Fraction(6, 3)))) is int
     assert canonical_string(LaurentPoly.constant(Fraction(3, 2))) == "3/2"
 
 
@@ -312,7 +311,7 @@ def test_engine_matches_fraction_reference(data):
 def test_engine_results_keep_int_coefficients():
     a = poly_sum([X_coarse(1), -2 * X_coarse(2), x_coarse(3, -1), 5])
     b = X_coarse(1) - 3
-    for p in (a + b, a * b, -a, a - b, (a * b).div_exact(-X_coarse(2)), b ** 3,
+    for p in (a + b, a * b, -a, a - b, (a * b).div_exact(-X_coarse(2)), poly_pow(b, 3),
               a.coarse_collapse(), poly_sum([a, b, 2])):
         assert all(type(c) is int for c in p.terms.values())
     assert type(a.all_ones()) is int

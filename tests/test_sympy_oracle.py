@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import dense
 from test_exactlinalg import complexes_7, kernel_matrices
 
 from simtree.exactlinalg import (
@@ -83,7 +84,7 @@ def test_smith_normal_form_matches_sympy(M):
 def test_column_kernel_on_boundaries_matches_sympy(cx, k):
     bd = cx.boundary_matrix(k)
     reduction = ColumnReduction(bd.supports)
-    M = sympy.Matrix(bd.as_lists())
+    M = sympy.Matrix(dense(bd))
     assert reduction.pivots == M.rref()[1]
     assert reduction.invariant_factors() == _sympy_invariant_factors(M)
 

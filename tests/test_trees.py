@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 from math import gcd, prod
 
 import pytest
+from helpers import dense
 from reference_kernels import (
     dense_up_down_laplacian,
     find_sst_reverse_delete,
@@ -126,7 +127,7 @@ def test_enumerate_torsion_matches_dense_snf_per_tree():
         cx = SimplicialComplex.from_facets([*rp2, extra])
         count = enumerate_ssts(cx, 2)
         index = {F: j for j, F in enumerate(cx.faces_of_dim(2))}
-        bd = cx.boundary_matrix(2).as_lists()
+        bd = dense(cx.boundary_matrix(2))
         for T, torsion in count.per_tree:
             at_tree = [[row[index[F]] for F in T] for row in bd]
             assert torsion == prod(smith_normal_form_dense(at_tree))
@@ -350,7 +351,7 @@ def test_pi_equals_principal_minor_sum():
         L = up_down_laplacian(amb, k)
         from simtree.exactlinalg import bareiss_det, rank
 
-        r = rank(cx.boundary_matrix(k).as_lists())
+        r = rank(dense(cx.boundary_matrix(k)))
         ridges = amb.faces_of_dim(k - 1)
         total = 0
         for keep in combinations(range(len(ridges)), r):

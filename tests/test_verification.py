@@ -7,6 +7,15 @@ import dataclasses
 import pytest
 
 from simtree import shifted, verification
+from simtree.complexes import SimplicialComplex
+from simtree.corpus import enumerate_shifted_complexes
+from simtree.fixtures import (
+    bipyramid,
+    complete_bipartite,
+    complete_graph,
+    rp2_six_vertices,
+    simplex_skeleton,
+)
 from simtree.laurent import LaurentPoly
 
 SMALL = dict(max_vertices=4, n_subs=2, witness_max=3, witness_extended=3, threshold_max=5)
@@ -48,3 +57,25 @@ def test_moved_cross_check_fails_on_a_wrong_route(monkeypatch, check, route, wro
     assert check(**SMALL).passed
     monkeypatch.setattr(verification, route, wrong)
     assert not check(**SMALL).passed
+
+
+def test_boundary_composition_sees_one_flipped_sign(monkeypatch):
+    # criterion 13's complexes compose to zero; with the first sign of bd_dim
+    # flipped, the first column of bd_dim no longer maps to zero
+    fixtures = [bipyramid(), rp2_six_vertices(), simplex_skeleton(5, 2),
+                complete_graph(5), complete_bipartite(3, 3)]
+    complexes = fixtures + list(enumerate_shifted_complexes(6, 2)[::7])
+    assert all(verification._boundary_squares_to_zero(cx) for cx in complexes)
+    boundary = SimplicialComplex._boundary
+
+    def flipped(cx, k):
+        bd = boundary(cx, k)
+        if k != cx.dim:
+            return bd
+        (i, s), *rest = bd.supports[0]
+        return dataclasses.replace(bd, supports=(((i, -s), *rest),) + bd.supports[1:])
+
+    monkeypatch.setattr(SimplicialComplex, "_boundary", flipped)
+    fresh = [SimplicialComplex(cx.all_faces()) for cx in complexes if cx.dim >= 1]
+    assert len(fresh) > len(fixtures)
+    assert not any(verification._boundary_squares_to_zero(cx) for cx in fresh)
