@@ -231,8 +231,11 @@ class SimplicialComplex:
         """Per-vertex count of i-faces containing each vertex (i defaults to dim)."""
         if i is None:
             i = self.dim
-        fam = self._by_dim.get(i, ())
-        return tuple(sum(1 for F in fam if v in F) for v in self._vertices)
+        degrees = dict.fromkeys(self._vertices, 0)
+        for F in self._by_dim.get(i, ()):
+            for v in F:
+                degrees[v] += 1
+        return tuple(degrees.values())
 
 
 def is_shifted(cx: SimplicialComplex) -> bool:

@@ -14,7 +14,10 @@ class DomainError(Exception):
 
 
 class ResourceLimitError(Exception):
-    """A configured cap (subset count, symbolic-determinant size) was exceeded."""
+    """A configured cap was exceeded: the oracle's subset count, the
+    symbolic-determinant size, the face budget (complexes.FACE_CAP), the
+    Laurent product budget (laurent.PRODUCT_PAIR_CAP) or a 64-bit exponent
+    range."""
 
 
 class ExactnessError(ArithmeticError):

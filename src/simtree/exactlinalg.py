@@ -4,13 +4,15 @@ Matrices are plain lists of lists of Python ints (or Fractions where stated),
 or columns given by their supports; everything is exact. Algorithms:
 
 - one column-reduction kernel (ColumnReduction) on column supports: each
-  column is reduced at its last nonzero row, by exact subtraction against a
-  unit pivot and fraction-free, kept primitive, against any other. It gives
-  rank and the lexicographically first column basis, and the Smith normal
-  form: every unit pivot reached by unimodular operations is an invariant
-  factor 1, and only the other columns, cleared at the unit pivots' rows, go
-  to a dense elimination with a minimal pivot. Boundaries are reduced on
-  their stored supports, and each once per complex;
+  column is reduced at its last nonzero row by reduce_column, by exact
+  subtraction against a unit pivot and fraction-free, kept primitive,
+  against any other. It gives rank and the lexicographically first column
+  basis, and the Smith normal form: every unit pivot reached by unimodular
+  operations is an invariant factor 1, and only the other columns, cleared
+  at the unit pivots' rows, go to a dense elimination with a minimal pivot.
+  Boundaries are reduced on their stored supports, and each once per
+  complex. The oracle's DFS (trees.enumerate_ssts) takes the same step on
+  the supports;
 - determinants by fraction-free Bareiss elimination; a symmetric positive
   definite matrix (a reduced Laplacian) by the same elimination on the upper
   triangle with no row swaps, every pivot checked positive;
@@ -152,15 +154,51 @@ def _subtract(v, c, p):
             del v[r]
 
 
+def reduce_column(col, units, others):
+    """Reduce the column support col at its last nonzero row and file it as a
+    new pivot. units and others map each pivot's last row to its reduced
+    column, +-1 there in units and primitive in others. Against a unit pivot
+    the step is exact subtraction, a unimodular column operation; against any
+    other it is fraction-free, the result kept primitive.
+
+    Returns (v, image). v is empty iff col is in the span of the pivots, and
+    is otherwise filed under max(v): in units iff unimodular operations alone
+    took it to +-1 there. image is a unimodular image of col (v before its
+    first fraction-free step), or None when unimodular operations alone took
+    col to a unit pivot or to zero."""
+    v = dict(col)
+    image = None
+    while v:
+        low = max(v)
+        p = units.get(low)
+        if p is not None:
+            _subtract(v, v[low] * p[low], p)
+            continue
+        p = others.get(low)
+        if p is None:
+            break
+        if image is None:
+            image = v
+        a, b = p[low], v[low]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        w = {r: a * x for r, x in v.items()}
+        _subtract(w, b, p)
+        v = _primitive(w)
+    if not v:
+        return v, image
+    if image is None and v[low] in (1, -1):
+        units[low] = v
+        return v, None
+    others[low] = _primitive(v)
+    return v, image or v
+
+
 class ColumnReduction:
     """Column reduction of an integer matrix given by its column supports
     (BoundaryMatrix.supports, or columns_of a dense matrix), each column
-    reduced at its last nonzero row (Edelsbrunner, Letscher and Zomorodian,
-    "Topological persistence and simplification", DCG 2002):
-
-    - against a unit pivot by exact subtraction, a unimodular column
-      operation;
-    - against any other pivot fraction-free, the result kept primitive.
+    reduced at its last nonzero row by reduce_column (Edelsbrunner, Letscher
+    and Zomorodian, "Topological persistence and simplification", DCG 2002).
 
     Column j is a pivot iff it is outside the span of the columns before it,
     so `pivots` is the lexicographically first column basis. A column reduced
@@ -170,38 +208,15 @@ class ColumnReduction:
     __slots__ = ("pivots", "_ones", "_units", "_rest")
 
     def __init__(self, columns):
-        units = {}  # last row -> reduced column, +-1 at that row
-        others = {}  # last row -> primitive reduced column, not a unit there
+        units, others = {}, {}  # last row -> pivot column, as in reduce_column
         pivots = []
         rest = []  # a unimodular image of every other nonzero column
         for j, col in enumerate(columns):
-            v = dict(col)
-            image = None  # v before its first fraction-free step
-            while v:
-                low = max(v)
-                p = units.get(low)
-                if p is not None:
-                    _subtract(v, v[low] * p[low], p)
-                    continue
-                p = others.get(low)
-                if p is None:
-                    break
-                if image is None:
-                    image = v
-                a, b = p[low], v[low]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                w = {r: a * x for r, x in v.items()}
-                _subtract(w, b, p)
-                v = _primitive(w)
+            v, image = reduce_column(col, units, others)
             if v:
                 pivots.append(j)
-                if image is None and v[low] in (1, -1):
-                    units[low] = v
-                    continue
-                others[low] = _primitive(v)
-            if image or v:
-                rest.append(image or v)
+            if image:
+                rest.append(image)
         self.pivots = tuple(pivots)
         # the unit pivots' columns are kept only to clear the other columns
         self._ones = len(units)

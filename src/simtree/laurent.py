@@ -35,6 +35,8 @@ FINE = "f"
 COARSE = "c"
 FACET = "e"
 
+PRODUCT_PAIR_CAP = 1 << 21  # term pairs one product call may multiply
+
 
 def _join_kinds(a, b):
     """The kind of a result built from operands of kinds a and b."""
@@ -126,11 +128,17 @@ def _packing(groups):
 def product(factors) -> "LaurentPoly":
     """The product of the polynomials in one packed layout: each factor is
     packed once, the partial products stay packed, and only the result is
-    unpacked. The empty product is 1."""
+    unpacked. The empty product is 1. Raises ResourceLimitError before the
+    term pairs multiplied would pass PRODUCT_PAIR_CAP."""
     factors = list(factors)
     kind, pack, unpack, zero = _packing([f] for f in factors)
     acc = {zero: 1}
+    pairs = 0
     for f in factors:
+        pairs += len(acc) * len(f.terms)
+        if pairs > PRODUCT_PAIR_CAP:
+            raise ResourceLimitError(f"the Laurent product would multiply more than "
+                                     f"{PRODUCT_PAIR_CAP} term pairs (the product budget)")
         packed = [(pack(k), c) for k, c in f.terms.items()]
         out = {}
         get = out.get

@@ -13,10 +13,11 @@ whose Laplacian is the trees.LaplacianFactors of fine_laplacian_factors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, is_shifted, lower_covers, shifted_ideal_faces
-from .errors import DomainError, ExactnessError, InputError, _require
+from .complexes import FACE_CAP, SimplicialComplex, is_shifted, lower_covers, shifted_ideal_faces
+from .errors import DomainError, ExactnessError, InputError, ResourceLimitError, _require
 from .exactlinalg import betti
 from .laurent import (
     FINE,
@@ -185,10 +186,12 @@ def shifted_spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
 
 
 def conjugate_partition(parts) -> tuple:
-    parts = sorted((p for p in parts if p > 0), reverse=True)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= t) for t in range(1, parts[0] + 1))
+    """The t-th part is the number of parts >= t."""
+    counts = Counter(p for p in parts if p > 0)
+    conj = []
+    for t in range(max(counts, default=0), 0, -1):
+        conj.append(counts[t] + (conj[-1] if conj else 0))
+    return tuple(reversed(conj))
 
 
 def unweighted_spectrum_duval_reiner(cx: SimplicialComplex) -> tuple:
@@ -315,15 +318,21 @@ def threshold_tau(cx: SimplicialComplex) -> LaurentPoly:
 
 def threshold_graph_from_degrees(degrees) -> SimplicialComplex:
     """The threshold graph on [1, n] whose vertex v is adjacent to the first
-    deg(v) vertices other than itself; validated against the requested degrees."""
+    deg(v) vertices other than itself; validated against the requested degrees.
+    Raises ResourceLimitError before building once its n + 1 + sum(deg)/2
+    faces would pass complexes.FACE_CAP."""
     degrees = tuple(degrees)
     n = len(degrees)
     if n < 2 or any(d < 1 or d > n - 1 for d in degrees):
         raise InputError("degrees must be between 1 and n-1")
+    if n + 1 + sum(degrees) / 2 > FACE_CAP:
+        raise ResourceLimitError(
+            f"the threshold graph would build more than {FACE_CAP} faces (the face budget)")
     edges = set()
     for j, dj in enumerate(degrees, start=1):
-        others = [v for v in range(1, n + 1) if v != j][:dj]
-        edges.update(tuple(sorted((j, v))) for v in others)
+        # the first dj vertices other than j
+        edges.update((v, j) for v in range(1, min(dj + 1, j)))
+        edges.update((j, v) for v in range(j + 1, dj + 2))
     cx = SimplicialComplex.from_facets(edges)
     if cx.degree_sequence(1) != degrees or not is_shifted(cx):
         raise InputError("not a threshold degree sequence")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 from .complexes import BoundaryMatrix, SimplicialComplex
 from .errors import DomainError, ExactnessError, InputError, ResourceLimitError, _require
@@ -28,6 +28,7 @@ from .exactlinalg import (
     definite_det,
     homology,
     nonzero_eigenvalue_product,
+    reduce_column,
 )
 from .laurent import _poly, key_quotient
 
@@ -191,13 +192,15 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     """Brute-force oracle: every k-SST with its torsion order, and tau_k.
 
     Trees are exactly the column bases of bd_k (the count condition pins the
-    size to rank bd_k for an APC ambient skeleton), enumerated by DFS with an
-    incremental fraction-free echelon on dense columns.
+    size to rank bd_k for an APC ambient skeleton), enumerated by DFS on the
+    column supports. Each step reduces a column against the path's pivots and
+    files it by reduce_column, the step of ColumnReduction; the path keeps its
+    pivots in the same two dicts, adding one on the way down and removing it
+    on the way back.
 
-    The DFS carries whether its path is unimodular: every stored pivot entry
-    is +-1 and no content was divided out. Such a tree's columns are then
-    unimodularly equivalent to a unit triangular block, so its torsion is 1;
-    only the other trees take a Smith normal form.
+    A path with no pivot in others is unimodular: its columns are unimodularly
+    equivalent to a unit triangular block, so the tree's torsion is 1. Only
+    the other trees take a Smith normal form.
     """
     _require_apc(cx, k)
     kfaces = cx.faces_of_dim(k)
@@ -206,49 +209,24 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
     if comb(n_cols, size) > cap:
         raise ResourceLimitError(
             f"{comb(n_cols, size)} candidate subsets exceed the cap {cap}")
-    bd = cx.boundary_matrix(k)
-    supports = bd.supports
-    cols = [[col.get(r, 0) for r in range(bd.n_rows)] for col in map(dict, supports)]
-
+    supports = cx.boundary_matrix(k).supports
+    units, others = {}, {}  # the path's pivots, as in ColumnReduction
     results = []
 
-    def reduce_against(v, pivots):
-        """v reduced against the pivots, its first nonzero position, and
-        whether that entry is +-1 with no content divided out."""
-        plain = True
-        for vec, pos in pivots:
-            if v[pos] != 0:
-                a, b = vec[pos], v[pos]
-                v = [a * x - b * y for x, y in zip(v, vec)]
-                g = gcd(*v)
-                if g > 1:
-                    v = [x // g for x in v]
-                    plain = False
-        for pos, x in enumerate(v):
-            if x != 0:
-                return v, pos, plain and x in (1, -1)
-        return None, None, False
-
-    def dfs(start, chosen, pivots, unimodular):
+    def dfs(start, chosen):
         if len(chosen) == size:
-            results.append((tuple(chosen), unimodular))
+            results.append((tuple(chosen), not others))
             return
-        need = size - len(chosen)
-        for j in range(start, n_cols - need + 1):
-            vec, pos, unit = reduce_against(cols[j], pivots)
-            if vec is None:
-                continue
-            chosen.append(j)
-            pivots.append((vec, pos))
-            dfs(j + 1, chosen, pivots, unimodular and unit)
-            chosen.pop()
-            pivots.pop()
+        for j in range(start, n_cols - size + len(chosen) + 1):
+            v, _ = reduce_column(supports[j], units, others)
+            if v:
+                chosen.append(j)
+                dfs(j + 1, chosen)
+                chosen.pop()
+                low = max(v)
+                del (units if low in units else others)[low]
 
-    if size == 0:
-        results.append(((), True))
-    else:
-        dfs(0, [], [], True)
-
+    dfs(0, [])
     results.sort(key=lambda tree: tuple(reversed(tree[0])))  # colex over index sets
     tau = 0
     per_tree = []

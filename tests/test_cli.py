@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import simtree
 from simtree.cli import main
+from simtree.laurent import PRODUCT_PAIR_CAP
 
 DATA = Path(simtree.__file__).parent / "data"
 
@@ -248,6 +249,27 @@ def test_facet_face_budget_exit_3(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "50000 faces (the face budget)" in err
+
+
+def test_threshold_face_budget_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "threshold", "--degrees", ",".join(["1"] * 60_000))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "50000 faces (the face budget)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ferrers", "--partition", ",".join(["8"] * 8)),
+    ("threshold", "--degrees", ",".join(["11"] * 12)),
+])
+def test_product_budget_exit_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 3.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert f"{PRODUCT_PAIR_CAP} term pairs (the product budget)" in err
 
 
 @pytest.mark.parametrize("dim", ["-1", "3"])

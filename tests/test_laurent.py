@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import constant_value, x_coarse
 
 from simtree.errors import ExactnessError, InputError, ResourceLimitError
+from simtree import laurent
 from simtree.laurent import (
     FINE,
     LaurentPoly,
@@ -356,3 +357,17 @@ def test_product_refuses_exponent_ranges_past_64_bits():
         product(edge + [big])
     with pytest.raises(ResourceLimitError, match="64 bits"):
         x_coarse(1, 2 ** 63) * x_coarse(1, 2 ** 63)
+
+
+def test_product_budget_counts_every_step(monkeypatch):
+    # one step multiplies 1 x 2 term pairs, the next 2 x 3: 8 in all
+    a = x_coarse(1, 1) + 1
+    b = x_coarse(2, 1) + x_coarse(2, 2) + 1
+    monkeypatch.setattr(laurent, "PRODUCT_PAIR_CAP", 8)
+    assert product([a, b]) == a * b
+    monkeypatch.setattr(laurent, "PRODUCT_PAIR_CAP", 7)
+    with pytest.raises(ResourceLimitError,
+                       match=r"more than 7 term pairs \(the product budget\)$"):
+        product([a, b])
+    with pytest.raises(ResourceLimitError, match="the product budget"):
+        (a * a) * (b * b)

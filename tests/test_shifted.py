@@ -16,7 +16,7 @@ from reference_kernels import (
     symbolic_matmul,
 )
 
-from simtree.complexes import SimplicialComplex, shifted_from_generators
+from simtree.complexes import SimplicialComplex, is_shifted, shifted_from_generators
 from simtree.corpus import enumerate_shifted_complexes
 from simtree.errors import DomainError, ExactnessError, InputError
 from simtree.exactlinalg import betti, fraction_det, homology, integer_spectrum_check
@@ -37,6 +37,7 @@ from simtree.shifted import (
     SpectrumMultiset,
     ZPolynomial,
     algebraic_fine_laplacian_entries,
+    conjugate_partition,
     critical_pairs,
     fine_laplacian_factors,
     ferrers_bipartite_complex,
@@ -399,6 +400,35 @@ def test_threshold_graph_from_degrees():
     assert threshold_graph_from_degrees((2, 2, 2)) == complete_graph(3)
     with pytest.raises(InputError):
         threshold_graph_from_degrees((1, 1, 1, 1))  # not a threshold sequence
+
+
+def test_threshold_graph_from_degrees_joins_each_vertex_to_the_first_others():
+    # every sequence on at most 5 vertices, against the adjacency of the
+    # definition; and every connected threshold graph on at most 7 vertices
+    # is rebuilt from its degrees
+    for n in range(2, 6):
+        for degrees in itertools.product(range(1, n), repeat=n):
+            edges = {tuple(sorted((j, v))) for j, d in enumerate(degrees, start=1)
+                     for v in [v for v in range(1, n + 1) if v != j][:d]}
+            try:
+                got = threshold_graph_from_degrees(degrees)
+            except InputError:
+                got = None
+            cx = SimplicialComplex.from_facets(edges)
+            counts = tuple(sum(v in e for e in edges) for v in range(1, n + 1))
+            expected = cx if counts == degrees and is_shifted(cx) else None
+            assert got == expected
+    graphs = [g for g in enumerate_shifted_complexes(7, 1) if g.dim == 1 and betti(g, 0) == 0]
+    assert len(graphs) > 50
+    for g in graphs:
+        assert threshold_graph_from_degrees(g.degree_sequence(1)) == g
+
+
+@given(st.lists(st.integers(-1, 9), max_size=10))
+def test_conjugate_partition_counts_the_parts_at_least_t(parts):
+    conj = conjugate_partition(parts)
+    assert conj == tuple(sum(1 for p in parts if p >= t) for t in range(1, len(conj) + 1))
+    assert len(conj) == max([0, *parts])
 
 
 # -- Ferrers graphs ---------------------------------------------------------------

@@ -5,9 +5,11 @@ from math import gcd, prod
 
 import pytest
 from helpers import dense
+from hypothesis import assume, given, settings, strategies as st
 from reference_kernels import (
     dense_up_down_laplacian,
     find_sst_reverse_delete,
+    pivot_columns_dense,
     ridge_tree_torsion_reference,
     smith_normal_form_dense,
 )
@@ -133,6 +135,58 @@ def test_enumerate_torsion_matches_dense_snf_per_tree():
             assert torsion == prod(smith_normal_form_dense(at_tree))
         assert sorted(t for _, t in count.per_tree) == [1] * 10 + [2]
         assert count.tau == 14
+
+
+def _every_tree(cx, k):
+    """Every set of rank bd_k many k-faces whose columns of bd_k are
+    independent, in colex order, each with the product of the Smith normal
+    form of bd_k at the set."""
+    kfaces = cx.faces_of_dim(k)
+    bd = dense(cx.boundary_matrix(k))
+    size = len(pivot_columns_dense(bd))
+    trees = []
+    for idxs in sorted(combinations(range(len(kfaces)), size), key=lambda s: s[::-1]):
+        at_set = [[row[j] for j in idxs] for row in bd]
+        if len(pivot_columns_dense(at_set)) == size:
+            trees.append((tuple(kfaces[j] for j in idxs), prod(smith_normal_form_dense(at_set))))
+    return tuple(trees)
+
+
+TRIANGLES_7 = list(combinations(range(1, 8), 3))
+EDGES_7 = list(combinations(range(1, 8), 2))
+
+
+@st.composite
+def _apc_complexes_7(draw):
+    """(cx, k): a random 2-complex on at most 7 vertices whose k-skeleton is
+    APC, k in {1, 2}; fewer triangles at k = 1 keep the brute force small."""
+    k = draw(st.sampled_from((1, 2)))
+    triangles = draw(st.sets(st.sampled_from(TRIANGLES_7), min_size=1,
+                             max_size=6 if k == 1 else 14))
+    edges = draw(st.sets(st.sampled_from(EDGES_7), max_size=3))
+    cx = SimplicialComplex.from_facets(sorted(triangles) + sorted(edges))
+    assume(not any(betti(cx, j) for j in range(-1, k)))
+    return cx, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_apc_complexes_7())
+def test_oracle_lists_every_tree_of_random_complexes(cx_k):
+    cx, k = cx_k
+    assert enumerate_ssts(cx, k).per_tree == _every_tree(cx, k)
+
+
+RP2_MISSING = [F for F in combinations(range(1, 7), 3)
+               if F not in rp2_six_vertices().faces_of_dim(2)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(1, 7)), st.sampled_from(RP2_MISSING), st.sampled_from((1, 2)))
+def test_oracle_lists_every_tree_of_relabelled_rp2_plus_a_triangle(perm, extra, k):
+    label = dict(zip(range(1, 7), perm))
+    cx = SimplicialComplex.from_facets(
+        [tuple(sorted(label[v] for v in F)) for F in (*rp2_six_vertices().faces_of_dim(2), extra)])
+    assert enumerate_ssts(cx, k).per_tree == _every_tree(cx, k)
 
 
 def test_enumerate_respects_cap():
