@@ -6,8 +6,10 @@ are immutable: every construction returns a new object.
 
 A boundary matrix is stored as its column supports: column F holds the k+1
 pairs (row index, sign) of the facets of F. Because a complex never changes,
-its boundary matrices and derived invariants (such as boundary ranks) are
-memoised on the complex itself and live exactly as long as it does.
+what is derived from it is memoised on the complex itself (SimplicialComplex.
+memo) and lives exactly as long as it does: the boundary matrices, their
+column reductions (boundary ranks and pivots), whether the complex is shifted,
+and its shifted spectra, one per dimension.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .errors import InputError, ResourceLimitError, _require
 
 Face = tuple  # tuple[int, ...], strictly increasing
 
-# The face budget. SimplicialComplex.closure refuses a generator G once the
-# faces built so far plus its 2^|G| subsets would pass it. shifted_ideal_faces
+# The face budget. SimplicialComplex.closure refuses a generator G whose 2^|G|
+# subsets alone would pass it, and otherwise refuses once the faces built so
+# far, G's subsets included, pass it. shifted_ideal_faces
 # (shifted generators, shifted.hear_shape) counts 2^|F| for each new face F of
 # its order ideals, itself and the subsets closure builds from it, so what it
 # accepts passes closure too. A complex on at most 6 vertices, the acceptance
@@ -104,17 +107,22 @@ class SimplicialComplex:
 
     @classmethod
     def closure(cls, generators) -> "SimplicialComplex":
-        """All subsets of the generators. Raises ResourceLimitError before a
-        generator would take the faces past FACE_CAP."""
+        """All subsets of the generators. Raises ResourceLimitError before
+        building a generator with more than FACE_CAP subsets, and once the
+        faces built pass FACE_CAP."""
         faces = set()
-        for G in generators:
-            G = face(G)
-            if len(faces) + (1 << len(G)) > FACE_CAP:
-                raise ResourceLimitError(
-                    f"the complex would build more than {FACE_CAP} faces (the face budget)")
-            for r in range(len(G) + 1):
-                faces.update(itertools.combinations(G, r))
-        return cls(faces)
+        for G in map(face, generators):
+            if 1 << len(G) > FACE_CAP:
+                break
+            if G not in faces:  # faces is downward closed: G's subsets are there
+                for r in range(len(G) + 1):
+                    faces.update(itertools.combinations(G, r))
+                if len(faces) > FACE_CAP:
+                    break
+        else:
+            return cls(faces)
+        raise ResourceLimitError(
+            f"the complex would build more than {FACE_CAP} faces (the face budget)")
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":

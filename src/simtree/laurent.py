@@ -415,8 +415,7 @@ def poly_sum(polys) -> LaurentPoly:
 
 def fine_face_key(F, a: int, e: int) -> tuple:
     """The monomial key of raise^a(x_F^e) for a vertex multiset F: exponent e
-    at x[m + a, F_m] for each position m of sorted F. No cutoff applies here
-    (raise_key applies one)."""
+    at x[m + a, F_m] for each position m of sorted F. No cutoff applies here."""
     return tuple(((FINE, m + a, j), e) for m, j in enumerate(sorted(F), start=1))
 
 
@@ -427,21 +426,6 @@ def key_quotient(num: tuple, *dens: tuple) -> tuple:
         for vid, e in den:
             exps[vid] = exps.get(vid, 0) - e
     return tuple(sorted((vid, e) for vid, e in exps.items() if e))
-
-
-def raise_key(key: tuple, a: int, d_cutoff: int):
-    """One monomial key under the raising operator x[i,j] -> x[i+a,j]; None
-    when the monomial is annihilated. The first variable (in key order)
-    pushed past d_cutoff+1 decides: a positive exponent kills the monomial, a
-    negative one is 1/0."""
-    new = []
-    for (_, i, j), e in key:
-        if i + a > d_cutoff + 1:
-            if e < 0:
-                raise ExactnessError("raising a negative power past the cutoff")
-            return None
-        new.append(((FINE, i + a, j), e))
-    return tuple(new)
 
 
 # -- rendering / interchange -------------------------------------------------

@@ -13,6 +13,7 @@ whose Laplacian is the trees.LaplacianFactors of fine_laplacian_factors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,12 +24,11 @@ from .laurent import (
     FINE,
     LaurentPoly,
     X_fine,
+    _poly,
     fine_face_key,
-    key_quotient,
     monomial_for_face,
     poly_sum,
     product,
-    raise_key,
 )
 from .trees import LaplacianFactors
 from .weighted import SymbolicMatrix
@@ -40,7 +40,7 @@ def _check_shifted(cx: SimplicialComplex):
     lo, hi = cx.vertices[0], cx.vertices[-1]
     if cx.vertices != tuple(range(lo, hi + 1)):
         raise DomainError("complex is not shifted (vertex set is not an interval)")
-    if not is_shifted(cx):
+    if not cx.memo("shifted", lambda: is_shifted(cx)):
         raise DomainError("complex is not shifted")
 
 
@@ -113,22 +113,38 @@ def lsg_recursive(cx: SimplicialComplex, i: int) -> list:
 
 def _expand_z(S: tuple, T: tuple, shift: int, cutoff: int) -> LaurentPoly:
     """raise^shift of (sum over j in T of X_{S u j}) / raise(X_S), one
-    monomial key per j."""
+    monomial key per j, built in key order. With u the members of S up to j
+    and then j, X_{S u j} / raise(X_S) is the product over positions m of
+    X[m, u_m] / X[m, u_{m-1}] (the positions after j's cancel): equal
+    vertices cancel, and otherwise the denominator's variable comes first.
+    The first variable raised past cutoff + 1 decides: a numerator's kills
+    the monomial, a denominator's is 1/0."""
     if not T:
         return LaurentPoly.zero()
     if S and len(S) > cutoff:
         raise ExactnessError("division by the zero polynomial")  # raise kills X_S
     if shift < 0:
         raise InputError("raising steps must be nonnegative")
-    den = fine_face_key(S, 1, 2)
+    S = sorted(S)
     terms = {}
     for j in T:
-        key = key_quotient(fine_face_key(S + (j,), 0, 2), den)
-        if shift:
-            key = raise_key(key, shift, cutoff)
-        if key is not None:
+        key = []
+        prev = None
+        for m, v in enumerate(S[:bisect_right(S, j)] + [j], start=1 + shift):
+            if v == prev:
+                continue
+            if shift and m > cutoff + 1:
+                if prev is not None:
+                    raise ExactnessError("raising a negative power past the cutoff")
+                break
+            if prev is not None:
+                key.append(((FINE, m, prev), -2))
+            key.append(((FINE, m, v), 2))
+            prev = v
+        else:
+            key = tuple(key)
             terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(terms)
+    return _poly(terms, FINE)
 
 
 @dataclass(frozen=True, order=True)
@@ -173,10 +189,16 @@ class SpectrumMultiset:
 
 def shifted_spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
     """Eigenvalues of the algebraic finely weighted up-down Laplacian on C_{i-1},
-    one z-polynomial per long signature of the critical pairs of the i-faces."""
+    one z-polynomial per long signature of the critical pairs of the i-faces.
+    Computed once per complex and dimension (SimplicialComplex.memo): later
+    calls return the same SpectrumMultiset."""
     _check_shifted(cx)
     if i < 0 or i > cx.dim:
         raise InputError(f"spectrum dimension {i} out of range [0, {cx.dim}]")
+    return cx.memo(("spectrum", i), lambda: _spectrum(cx, i))
+
+
+def _spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
     d = cx.dim
     zs = tuple(ZPolynomial(S=S, T=T, shift=d - i, cutoff=d)
                for S, T in lsg_direct(cx.faces_of_dim(i), cx.min_vertex))

@@ -113,16 +113,17 @@ class LaplacianFactors:
 
     def variables(self) -> list:
         """The variables of the entries of L: those with a nonzero exponent in
-        some W_h / (D_r D_c), since no two terms cancel (see _terms)."""
+        some diagonal term W_h / D_r^2, since no two terms cancel (see
+        _terms). A variable that cancels from W_h / D_r^2 for every row r of
+        h has W_h's exponent twice D_r's, so it cancels from W_h / (D_r D_c)."""
         x = self.row_keys
         found = set()
         for W, col in zip(self.col_keys, self.boundary.supports):
-            for i, (r, _) in enumerate(col):
-                for c, _ in col[i:]:
-                    exps = dict(W)
-                    for vid, e in x[r] + x[c]:
-                        exps[vid] = exps.get(vid, 0) - e
-                    found.update(vid for vid, e in exps.items() if e)
+            for r, _ in col:
+                exps = dict(W)
+                for vid, e in x[r]:
+                    exps[vid] = exps.get(vid, 0) - 2 * e
+                found.update(vid for vid, e in exps.items() if e)
         return sorted(found)
 
 

@@ -92,10 +92,12 @@ def _assignment(variables, rng) -> dict:
 def spectrum_theorem_holds(cx: SimplicialComplex, i: int, n_subs: int,
                            seed, tag) -> bool:
     """det(yI - LL^ud_{i-1}) == y^m * prod (y - raised z(S,T)) at seeded
-    integer substitutions (both sides exact rationals). With
-    LL^ud_{i-1} = D^-1 B W B^T D^-1, the left side is one integer Bareiss
-    determinant, det(y D^2 - B W B^T), over the integer prod D_F^2. A
-    variable of D or W that cancels from every entry is set to 1."""
+    integer substitutions, compared as integers. With
+    LL^ud_{i-1} = D^-1 B W B^T D^-1 the left side is det(y D^2 - B W B^T) over
+    prod D_F^2, one integer Bareiss determinant, and each z(S,T) evaluates to
+    num/den; both sides are multiplied by prod D_F^2 * prod den. A variable of
+    D or W that cancels from every entry is set to 1. The spectrum is
+    shifted_spectrum's, computed once per complex and dimension."""
     spec = shifted_spectrum(cx, i)
     fac = fine_laplacian_factors(cx, i - 1)
     zpolys = [z.poly for z in spec.zpolys]
@@ -112,10 +114,12 @@ def spectrum_theorem_holds(cx: SimplicialComplex, i: int, n_subs: int,
         M, scale = fac.at_point(assignment)  # det(y D^2 - BWB^T) = (-1)^n det(M - y D^2)
         for r, x in enumerate(scale):
             M[r][r] -= y * x
-        lhs = Fraction((-1) ** len(M) * bareiss_det(M), prod(scale))
-        rhs = Fraction(y) ** spec.zero_multiplicity
+        lhs = (-1) ** len(M) * bareiss_det(M)
+        rhs = prod(scale) * y ** spec.zero_multiplicity
         for zp in zpolys:
-            rhs *= y - zp.evaluate(assignment)
+            z = zp.evaluate(assignment)
+            lhs *= z.denominator
+            rhs *= y * z.denominator - z.numerator
         if lhs != rhs:
             return False
     return True

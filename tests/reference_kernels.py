@@ -5,13 +5,14 @@ the tests require identical results from both.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from helpers import dense
+from simtree import verification
 from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
-from simtree.exactlinalg import fraction_det, homology
-from simtree.laurent import LaurentPoly, monomial_for_face, raise_key, x_facet
+from simtree.exactlinalg import bareiss_det, fraction_det, homology
+from simtree.laurent import FINE, LaurentPoly, monomial_for_face, x_facet
 from simtree.trees import ridge_tree_reduction
 from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
 
@@ -300,6 +301,21 @@ def find_sst_reverse_delete(cx, k) -> tuple:
     return tuple(kfaces[j] for j in chosen)
 
 
+def raise_key(key: tuple, a: int, d_cutoff: int):
+    """One monomial key under the raising operator x[i,j] -> x[i+a,j]; None
+    when the monomial is annihilated. The first variable (in key order)
+    pushed past d_cutoff+1 decides: a positive exponent kills the monomial, a
+    negative one is 1/0."""
+    new = []
+    for (_, i, j), e in key:
+        if i + a > d_cutoff + 1:
+            if e < 0:
+                raise ExactnessError("raising a negative power past the cutoff")
+            return None
+        new.append(((FINE, i + a, j), e))
+    return tuple(new)
+
+
 def raise_op(p: LaurentPoly, a: int, d_cutoff: int) -> LaurentPoly:
     """The raising operator on fine variables: x[i,j] -> x[i+a,j], applied to
     every term by raise_key.
@@ -442,6 +458,37 @@ def expand_z_reference(S, T, shift: int, cutoff: int) -> LaurentPoly:
         if S else LaurentPoly.one()
     z = num.div_exact(den)
     return raise_op(z, shift, cutoff) if shift else z
+
+
+def spectrum_theorem_holds_reference(cx, i: int, n_subs: int, seed, tag) -> bool:
+    """verification.spectrum_theorem_holds with both sides as exact rationals:
+    det(y D^2 - B W B^T) / prod D_F^2 against y^m * prod (y - z(S,T)) as a
+    chain of Fractions. It takes the spectrum, the factors and the draws
+    through verification's own names, so a test that patches one of them
+    patches both checks, and it draws the same points."""
+    spec = verification.shifted_spectrum(cx, i)
+    fac = verification.fine_laplacian_factors(cx, i - 1)
+    zpolys = [z.poly for z in spec.zpolys]
+    variables = set(fac.variables())
+    for zp in zpolys:
+        variables.update(zp.variables())
+    ones = dict.fromkeys({vid for key in fac.row_keys + fac.col_keys for vid, _ in key}
+                         - variables, 1)
+    variables = sorted(variables)
+    rng = verification._rng(seed, "spectrum", tag, i)
+    for _ in range(n_subs):
+        assignment = verification._assignment(variables, rng) | ones
+        y = rng.randint(1, 10_000)
+        M, scale = fac.at_point(assignment)
+        for r, x in enumerate(scale):
+            M[r][r] -= y * x
+        lhs = Fraction((-1) ** len(M) * bareiss_det(M), prod(scale))
+        rhs = Fraction(y) ** spec.zero_multiplicity
+        for zp in zpolys:
+            rhs *= y - zp.evaluate(assignment)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def algebraic_fine_laplacian(cx, i: int) -> SymbolicMatrix:

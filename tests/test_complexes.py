@@ -212,6 +212,19 @@ def test_closure_face_budget_counts_the_faces_built_so_far():
     assert f_vector(simplex_skeleton(16, 4)) == (1, 16, 120, 560, 1820, 4368)
 
 
+def test_closure_face_budget_counts_each_face_once():
+    # the star K_{1,24999} has 1 + 25000 + 24999 faces, exactly the budget;
+    # its edges share the vertex 1, which an edge-by-edge sum of 2^2 counts again
+    leaves = range(2, 2 + 24_999)
+    star = SimplicialComplex.from_facets([(1, v) for v in leaves])
+    assert len(star.all_faces()) == FACE_CAP == 50_000
+    assert star.f(1) == 24_999
+    with pytest.raises(ResourceLimitError, match="face budget"):
+        SimplicialComplex.from_facets([(1, v) for v in leaves] + [(1, 25_001)])
+    # generators already built add nothing
+    assert SimplicialComplex.closure([range(1, 16)] * 3 + [(1, 2)]).f(14) == 1
+
+
 def test_is_shifted():
     assert is_shifted(bipyramid())
     assert not is_shifted(SimplicialComplex.from_facets([[1, 3], [2, 4]]))

@@ -186,6 +186,27 @@ def test_spectrum_rejects_non_shifted():
         shifted_spectrum(bipyramid(), 9)
 
 
+def test_spectrum_is_computed_once_per_complex_and_dimension():
+    cx = bipyramid()
+    spec = shifted_spectrum(cx, 1)
+    assert shifted_spectrum(cx, 1) is spec
+    assert shifted_spectrum(cx, 2) is not spec
+    with pytest.raises(InputError):  # the memo is read after the range check
+        shifted_spectrum(cx, 3)
+    with pytest.raises(InputError):
+        shifted_spectrum(cx, -1)
+
+
+def test_non_shifted_complex_is_refused_on_every_call():
+    # its vertices form a shifted family, so only the complex check refuses i = 0
+    cx = SimplicialComplex.from_facets([[1, 3], [2, 4]])
+    for i in (0, 0, 1, 1):
+        with pytest.raises(DomainError, match="^complex is not shifted$"):
+            shifted_spectrum(cx, i)
+    with pytest.raises(DomainError, match="^complex is not shifted$"):
+        shifted_tau_fine(cx)
+
+
 def test_spectrum_same_nonzero():
     a = shifted_spectrum(bipyramid(), 2)
     b = SpectrumMultiset(zpolys=a.zpolys, zero_multiplicity=99)

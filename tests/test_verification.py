@@ -5,10 +5,12 @@ the routes returns a wrong value. Criteria run here at a reduced scale."""
 import dataclasses
 
 import pytest
+from reference_kernels import spectrum_theorem_holds_reference
 
 from simtree import shifted, verification
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes
+from simtree.errors import ExactnessError
 from simtree.fixtures import (
     bipyramid,
     complete_bipartite,
@@ -79,3 +81,51 @@ def test_boundary_composition_sees_one_flipped_sign(monkeypatch):
     fresh = [SimplicialComplex(cx.all_faces()) for cx in complexes if cx.dim >= 1]
     assert len(fresh) > len(fixtures)
     assert not any(verification._boundary_squares_to_zero(cx) for cx in fresh)
+
+
+def test_spectrum_check_matches_the_fraction_reference_on_the_corpus():
+    # the integer comparison and the Fraction chain give the same verdict at
+    # the same draws on every (complex, dimension) pair of criterion 8
+    pairs = 0
+    for idx, cx in enumerate(enumerate_shifted_complexes(6, 2)):
+        for i in range(cx.dim + 1):
+            verdicts = (verification.spectrum_theorem_holds(cx, i, 2, 20080814, idx),
+                        spectrum_theorem_holds_reference(cx, i, 2, 20080814, idx))
+            assert verdicts == (True, True)
+            pairs += 1
+    assert pairs == 1257
+
+
+def _shift_bumped(spec):
+    for k, z in enumerate(spec.zpolys):
+        bumped = dataclasses.replace(z, shift=z.shift + 1)
+        try:
+            bumped.poly
+        except ExactnessError:  # a denominator raised past the cutoff
+            continue
+        zpolys = spec.zpolys[:k] + (bumped,) + spec.zpolys[k + 1:]
+        return dataclasses.replace(spec, zpolys=zpolys)
+    return None
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda spec: shifted.SpectrumMultiset(spec.zpolys[1:], spec.zero_multiplicity + 1),
+    _shift_bumped,
+    lambda spec: dataclasses.replace(spec, zero_multiplicity=spec.zero_multiplicity + 1),
+    lambda spec: dataclasses.replace(spec, zero_multiplicity=spec.zero_multiplicity - 1)
+    if spec.zero_multiplicity else None,
+], ids=["one-z-dropped", "one-shift-bumped", "zero-multiplicity-plus-one",
+        "zero-multiplicity-minus-one"])
+def test_spectrum_check_fails_on_a_wrong_spectrum(monkeypatch, wrong):
+    corpus = enumerate_shifted_complexes(5, 2)
+    cases = [(idx, cx, i, wrong(shifted.shifted_spectrum(cx, i)))
+             for idx, cx in enumerate(corpus) for i in range(cx.dim + 1)]
+    cases = [case for case in cases if case[3] is not None]
+    assert len(cases) > 100
+    spectra = {(id(cx), i): spec for _, cx, i, spec in cases}
+    monkeypatch.setattr(verification, "shifted_spectrum",
+                        lambda cx, i: spectra[id(cx), i])
+    for idx, cx, i, _ in cases:
+        verdicts = (verification.spectrum_theorem_holds(cx, i, 2, 20080814, idx),
+                    spectrum_theorem_holds_reference(cx, i, 2, 20080814, idx))
+        assert verdicts == (False, False)
