@@ -52,9 +52,7 @@ def face_label(F: Face) -> str:
     """Canonical text for a face: digit string if all vertices <= 9, else comma-separated."""
     if not F:
         return "-"
-    if all(v <= 9 for v in F):
-        return "".join(str(v) for v in F)
-    return ",".join(str(v) for v in F)
+    return ("" if max(F) <= 9 else ",").join(map(str, F))
 
 
 @dataclass(frozen=True)
@@ -82,16 +80,29 @@ class SimplicialComplex:
     def __init__(self, faces):
         face_set = set(faces)
         face_set.add(())
-        by_dim = {}
-        for F in face_set:
-            by_dim.setdefault(len(F) - 1, []).append(F)
-        for lst in by_dim.values():
-            lst.sort()
         # downward closure check: every facet of every face must be present
         for F in face_set:
             for i in range(len(F)):
                 if F[:i] + F[i + 1:] not in face_set:
                     raise InputError(f"face set not downward closed at {F}")
+        self._fill(face_set)
+
+    @classmethod
+    def _closed(cls, faces) -> "SimplicialComplex":
+        """The complex on a face set that its construction keeps downward
+        closed (closure, link, deletion, skeleton), built without the scan."""
+        face_set = set(faces)
+        face_set.add(())
+        cx = cls.__new__(cls)
+        cx._fill(face_set)
+        return cx
+
+    def _fill(self, face_set):
+        by_dim = {}
+        for F in face_set:
+            by_dim.setdefault(len(F) - 1, []).append(F)
+        for lst in by_dim.values():
+            lst.sort()
         object.__setattr__(self, "_by_dim", {d: tuple(fs) for d, fs in sorted(by_dim.items())})
         object.__setattr__(self, "_faces", frozenset(face_set))
         verts = sorted({v for F in face_set for v in F})
@@ -110,8 +121,13 @@ class SimplicialComplex:
         """All subsets of the generators. Raises ResourceLimitError before
         building a generator with more than FACE_CAP subsets, and once the
         faces built pass FACE_CAP."""
+        return cls._closure(map(face, generators))
+
+    @classmethod
+    def _closure(cls, generators) -> "SimplicialComplex":
+        """closure of generators that are faces already."""
         faces = set()
-        for G in map(face, generators):
+        for G in generators:
             if 1 << len(G) > FACE_CAP:
                 break
             if G not in faces:  # faces is downward closed: G's subsets are there
@@ -120,15 +136,14 @@ class SimplicialComplex:
                 if len(faces) > FACE_CAP:
                     break
         else:
-            return cls(faces)
+            return cls._closed(faces)
         raise ResourceLimitError(
             f"the complex would build more than {FACE_CAP} faces (the face budget)")
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
         facets = [tuple(f_) for f_ in facets]
-        if any(len(f_) == 0 for f_ in facets):
-            raise InputError("facets must be nonempty")
+        _require_nonempty(facets)
         return cls.closure(facets)
 
     # -- basic queries -------------------------------------------------
@@ -194,7 +209,7 @@ class SimplicialComplex:
             raise InputError(f"skeleton dimension {i} out of range [-1, {self.dim}]")
         if i == self.dim:
             return self
-        return SimplicialComplex(F for F in self._faces if len(F) - 1 <= i)
+        return SimplicialComplex._closed(F for F in self._faces if len(F) - 1 <= i)
 
     def pure_skeleton(self, i: int) -> "SimplicialComplex":
         """Subcomplex generated by the i-faces; the empty complex if there are none."""
@@ -206,7 +221,7 @@ class SimplicialComplex:
     def link(self, v: int) -> "SimplicialComplex":
         if v not in self._vertices:
             raise InputError(f"vertex {v} not in complex")
-        return SimplicialComplex(
+        return SimplicialComplex._closed(
             F for F in self._faces if v not in F and tuple(sorted(F + (v,))) in self._faces
         )
 
@@ -214,7 +229,7 @@ class SimplicialComplex:
         """del_v = {F \\ {v} : F a face}; coincides with faces avoiding v plus the link."""
         if v not in self._vertices:
             raise InputError(f"vertex {v} not in complex")
-        return SimplicialComplex(tuple(u for u in F if u != v) for F in self._faces)
+        return SimplicialComplex._closed(tuple(u for u in F if u != v) for F in self._faces)
 
     # -- boundary matrices ----------------------------------------------
 
@@ -308,17 +323,26 @@ def shifted_ideal_faces(generators, p: int) -> set:
 
 def shifted_from_generators(generators, p: int) -> SimplicialComplex:
     """The shifted complex generated by the given faces, with minimal vertex p."""
-    gens = [face(gen) for gen in generators]
+    return _shifted_complex([face(gen) for gen in generators], p)
+
+
+def _shifted_complex(gens, p: int) -> SimplicialComplex:
+    """shifted_from_generators of generators that are faces already."""
     for G in gens:
         if G and G[0] < p:
             raise InputError(f"generator {G} has a vertex below the minimal vertex {p}")
     faces = shifted_ideal_faces(gens, p)
-    cx = SimplicialComplex.closure(faces) if faces else SimplicialComplex.empty()
+    cx = SimplicialComplex._closure(faces) if faces else SimplicialComplex.empty()
     _require(is_shifted(cx), "generated complex must be shifted")
     return cx
 
 
 # -- JSON interchange ---------------------------------------------------
+
+
+def _require_nonempty(facets):
+    if any(len(f_) == 0 for f_ in facets):
+        raise InputError("facets must be nonempty")
 
 
 def _json_faces(data: dict, key: str) -> list:
@@ -332,12 +356,14 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
     if not isinstance(data, dict):
         raise InputError("complex JSON must be an object")
     if "facets" in data:
-        return SimplicialComplex.from_facets(_json_faces(data, "facets"))
+        facets = _json_faces(data, "facets")
+        _require_nonempty(facets)
+        return SimplicialComplex._closure(facets)
     if "shifted_generators" in data:
         p = data.get("min_vertex", 1)
         if type(p) is not int or p < 1:
             raise InputError(f"min_vertex must be a positive integer, got {p!r}")
-        return shifted_from_generators(_json_faces(data, "shifted_generators"), p)
+        return _shifted_complex(_json_faces(data, "shifted_generators"), p)
     raise InputError("complex JSON needs a 'facets' or 'shifted_generators' key")
 
 

@@ -16,9 +16,11 @@ or columns given by their supports; everything is exact. Algorithms:
 - determinants by fraction-free Bareiss elimination; a symmetric positive
   definite matrix (a reduced Laplacian) by the same elimination on the upper
   triangle with no row swaps, every pivot checked positive;
-- the product pi of the nonzero eigenvalues of a symmetric positive
-  semidefinite M as det((M^2)_PP) / det(M_PP), P its pivot columns: two
-  positive definite determinants of size rank(M);
+- the product of the nonzero eigenvalues of B B^T from the column supports
+  of B, with no dense product: P, the lexicographically first row basis,
+  and a column basis Q come from one column reduction of B^T, and the
+  product is det(B_P B_P^T) det(B_Q^T B_Q) / det(B_PQ)^2, two positive
+  definite determinants of size rank(B);
 - characteristic polynomials by Faddeev-LeVerrier, multiplying by the
   nonzeros of the matrix only, with an integrality check at every step.
 
@@ -205,7 +207,7 @@ class ColumnReduction:
     by unimodular operations alone to a unit at a new row is a unit pivot;
     invariant_factors() builds the Smith normal form on them."""
 
-    __slots__ = ("pivots", "_ones", "_units", "_rest")
+    __slots__ = ("pivots", "lows", "_ones", "_units", "_rest")
 
     def __init__(self, columns):
         units, others = {}, {}  # last row -> pivot column, as in reduce_column
@@ -218,10 +220,17 @@ class ColumnReduction:
             if image:
                 rest.append(image)
         self.pivots = tuple(pivots)
+        self.lows = (*units, *others)  # the pivots' last rows, unit pivots first
         # the unit pivots' columns are kept only to clear the other columns
         self._ones = len(units)
         self._units = units if rest else {}
         self._rest = rest
+
+    @property
+    def unimodular(self) -> bool:
+        """Did unimodular operations alone reduce every column, each pivot
+        to +-1 at its last row?"""
+        return not self._rest
 
     def invariant_factors(self) -> list:
         """The Smith normal form d1 | d2 | ... | dr, all positive (Dumas,
@@ -346,22 +355,56 @@ def char_poly(M) -> list:
     return coeffs
 
 
-def nonzero_eigenvalue_product(M) -> int:
-    """The product of the nonzero eigenvalues of a symmetric positive
-    semidefinite integer matrix M (1 when there are none).
+def transpose(columns, n_rows) -> list:
+    """The column supports of B^T, i.e. the rows of B, from those of B."""
+    rows = [[] for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            rows[i].append((j, x))
+    return rows
 
-    With P the pivot columns of M, M_PP is nonsingular and
-    M = M_{:,P} M_PP^-1 M_{P,:}, so the nonzero eigenvalues of M are those of
-    M_PP^-1 (M^2)_PP. Both factors are positive definite, and the product is
-    det((M^2)_PP) / det(M_PP). An indefinite or asymmetric M raises
-    ExactnessError."""
-    _require_symmetric(M)
-    P = pivot_columns(M)
-    rows = [[(j, x) for j, x in enumerate(M[p]) if x] for p in P]
-    # (M^2)_PP is the Gram matrix of the rows at P, as M is symmetric
-    gram = [[sum(x * M[q][j] for j, x in row) for q in P] for row in rows]
-    num = definite_det(gram)
-    den = definite_det([[M[p][q] for q in P] for p in P])
+
+def _gram(vectors, at) -> list:
+    """The sum over the sparse vectors of v v^T, restricted to the indices
+    in `at` (index -> position)."""
+    G = [[0] * len(at) for _ in at]
+    for v in vectors:
+        kept = [(at[i], x) for i, x in v if i in at]
+        for a, x in kept:
+            row = G[a]
+            for b, y in kept:
+                row[b] += x * y
+    return G
+
+
+def gram_pseudodeterminant(columns, n_rows) -> int:
+    """The product of the nonzero eigenvalues of B B^T (1 when B = 0), for
+    an integer matrix B with n_rows rows given by its column supports.
+
+    One column reduction of the rows of B gives P, the pivot rows of B (its
+    lexicographically first row basis), and Q, the columns at the reduced
+    rows' last nonzeros. The reduced rows are T B_{P,:} with T triangular
+    and nonsingular, and triangular at Q, so B_PQ is nonsingular and Q is a
+    column basis. Then B = B_{:,Q} B_PQ^-1 B_{P,:}, and the nonzero
+    eigenvalues of B B^T are those of (B_Q^T B_Q) B_PQ^-1 (B_P B_P^T) B_PQ^-T:
+
+        pdet(B B^T) = det(B_P B_P^T) det(B_Q^T B_Q) / det(B_PQ)^2,
+
+    two positive definite Gram determinants of size rank(B). When the
+    reduction is unimodular, T and the reduced rows at Q are unit triangular
+    and det(B_PQ) = +-1; otherwise |det(B_PQ)| is the product of its Smith
+    normal form. A quotient that is not integral raises ExactnessError."""
+    rows = transpose(columns, n_rows)
+    reduction = ColumnReduction(rows)
+    at_p = {p: a for a, p in enumerate(reduction.pivots)}
+    at_q = {q: a for a, q in enumerate(reduction.lows)}
+    num = definite_det(_gram(columns, at_p)) * definite_det(_gram(rows, at_q))
+    if reduction.unimodular:
+        return num
+    factors = ColumnReduction([[(i, x) for i, x in columns[q] if i in at_p]
+                               for q in reduction.lows]).invariant_factors()
+    _require(len(factors) == len(at_q), "B_PQ is singular")
+    den = prod(factors) ** 2
     _require(num % den == 0, "nonzero eigenvalue product is not integral")
     return num // den
 

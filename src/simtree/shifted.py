@@ -66,7 +66,8 @@ class CriticalPair:
 
 
 def critical_pairs(family, initial_vertex: int | None = None) -> list:
-    """All critical pairs of a shifted k-family, in lex order of members."""
+    """All critical pairs of a shifted k-family, in lex order of members.
+    Raises DomainError when the family is not shifted."""
     fam = sorted({tuple(F) for F in family})
     if not fam:
         return []
@@ -74,6 +75,11 @@ def critical_pairs(family, initial_vertex: int | None = None) -> list:
     fam_set = set(fam)
     if not all(c in fam_set for A in fam for c in lower_covers(A, p)):
         raise DomainError("family is not shifted")
+    return _critical_pairs(fam, fam_set, p)
+
+
+def _critical_pairs(fam, fam_set, p: int) -> list:
+    """critical_pairs of the sorted shifted family fam, with no check."""
     pairs = []
     for A in fam:
         for idx in range(len(A)):
@@ -89,6 +95,15 @@ def critical_pairs(family, initial_vertex: int | None = None) -> list:
 def lsg_direct(family, initial_vertex: int | None = None) -> list:
     """The multiset of long signatures, by direct critical-pair extraction."""
     return sorted(cp.long_signature for cp in critical_pairs(family, initial_vertex))
+
+
+def _long_signatures(cx: SimplicialComplex, i: int) -> list:
+    """lsg_direct of the i-faces of a complex known to be shifted, whose
+    family is not checked again."""
+    fam = cx.faces_of_dim(i)
+    if not fam:
+        return []
+    return sorted(cp.long_signature for cp in _critical_pairs(fam, set(fam), cx.min_vertex))
 
 
 def lsg_recursive(cx: SimplicialComplex, i: int) -> list:
@@ -201,7 +216,7 @@ def shifted_spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
 def _spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
     d = cx.dim
     zs = tuple(ZPolynomial(S=S, T=T, shift=d - i, cutoff=d)
-               for S, T in lsg_direct(cx.faces_of_dim(i), cx.min_vertex))
+               for S, T in _long_signatures(cx, i))
     zero_mult = cx.f(i - 1) - len(zs)
     _require(zero_mult >= 0, "more nonzero eigenvalues than (i-1)-faces")
     return SpectrumMultiset(zpolys=zs, zero_multiplicity=zero_mult)
@@ -249,11 +264,10 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
         raise DomainError("inconsistent spectra: mixed initial vertices")
     p = starts.pop()
     sigs = [tuple(sorted(S + (T[-1],))) for S, T in all_pairs]
+    # the closure of componentwise order ideals is shifted
     cx = SimplicialComplex.closure(shifted_ideal_faces(sigs, p))
     for i, pairs in pairs_by_dim.items():
-        got = sorted(lsg_direct(cx.faces_of_dim(i), cx.min_vertex)) \
-            if cx.faces_of_dim(i) else []
-        if got != pairs:
+        if _long_signatures(cx, i) != pairs:
             raise DomainError(f"spectra do not arise from a shifted complex (dim {i})")
     return cx
 
@@ -270,9 +284,7 @@ def shifted_tau_fine(cx: SimplicialComplex) -> LaurentPoly:
         raise InputError("enumerator needs at least one vertex")
     p = cx.min_vertex
     d = cx.dim
-    dele = cx.deletion(p)
-    fam = dele.faces_of_dim(d)
-    sigs = lsg_direct(fam, dele.min_vertex) if fam else []
+    sigs = _long_signatures(cx.deletion(p), d)  # a deletion of a shifted complex is shifted
     result = product([monomial_for_face(F + (p,)) for F in cx.link(p).faces_of_dim(d - 1)]
                      + [LaurentPoly({fine_face_key(S + (p,), 0, -2): 1}) for S, _ in sigs]
                      + [poly_sum(monomial_for_face(S + (j,)) for j in (p,) + T)

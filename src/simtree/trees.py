@@ -26,8 +26,8 @@ from .exactlinalg import (
     boundary_pivots,
     boundary_rank,
     definite_det,
+    gram_pseudodeterminant,
     homology,
-    nonzero_eigenvalue_product,
     reduce_column,
 )
 from .laurent import _poly, key_quotient
@@ -306,11 +306,15 @@ def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) ->
 
 
 def pi(cx: SimplicialComplex, k: int) -> int:
-    """Product of the nonzero eigenvalues of L^ud_{k-1} = bd_k bd_k^T, a
-    positive semidefinite matrix."""
+    """Product of the nonzero eigenvalues of L^ud_{k-1} = bd_k bd_k^T, read
+    from bd_k's own supports by exactlinalg.gram_pseudodeterminant: P, the
+    lexicographically first row basis of bd_k, comes from one column
+    reduction of the coboundary bd_k^T. These are the pivot columns of the
+    Laplacian, as L x = 0 iff bd_k^T x = 0, and no Laplacian is built."""
     if k < 0 or k > cx.dim:
         raise InputError(f"pi dimension {k} out of range [0, {cx.dim}]")
-    return nonzero_eigenvalue_product(up_down_laplacian(cx, k))
+    bd = cx.boundary_matrix(k)
+    return gram_pseudodeterminant(bd.supports, bd.n_rows)
 
 
 def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> int:

@@ -11,7 +11,7 @@ from helpers import dense
 from simtree import verification
 from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
-from simtree.exactlinalg import bareiss_det, fraction_det, homology
+from simtree.exactlinalg import bareiss_det, definite_det, fraction_det, homology
 from simtree.laurent import FINE, LaurentPoly, monomial_for_face, x_facet
 from simtree.trees import ridge_tree_reduction
 from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
@@ -105,6 +105,27 @@ def dense_up_down_laplacian(cx, k):
         return []
     m = len(bd[0])
     return [[sum(bd[i][t] * bd[j][t] for t in range(m)) for j in range(n)] for i in range(n)]
+
+
+def nonzero_eigenvalue_product(M) -> int:
+    """The product of the nonzero eigenvalues of a symmetric positive
+    semidefinite integer matrix M (1 when there are none), from M itself.
+
+    With P the pivot columns of M, M_PP is nonsingular and
+    M = M_{:,P} M_PP^-1 M_{P,:}, so the nonzero eigenvalues of M are those of
+    M_PP^-1 (M^2)_PP. Both factors are positive definite, and the product is
+    det((M^2)_PP) / det(M_PP). An indefinite or asymmetric M raises
+    ExactnessError."""
+    _require(all(M[i][j] == M[j][i] for i in range(len(M)) for j in range(i)),
+             "matrix is not symmetric")
+    P = pivot_columns_dense(M)
+    rows = [[(j, x) for j, x in enumerate(M[p]) if x] for p in P]
+    # (M^2)_PP is the Gram matrix of the rows at P, as M is symmetric
+    gram = [[sum(x * M[q][j] for j, x in row) for q in P] for row in rows]
+    num = definite_det(gram)
+    den = definite_det([[M[p][q] for q in P] for p in P])
+    _require(num % den == 0, "nonzero eigenvalue product is not integral")
+    return num // den
 
 
 def fraction_kernel_basis(M, n_cols=None):

@@ -40,6 +40,11 @@ def test_face_label():
     assert face_label((2, 11)) == "2,11"
 
 
+def test_face_label_edge_cases():
+    labels = [face_label(F) for F in ((), (9,), (1, 9), (1, 10), (10, 11))]
+    assert labels == ["-", "9", "19", "1,10", "10,11"]
+
+
 def test_vertex_sign():
     assert vertex_sign(1, (1, 2, 3)) == 1
     assert vertex_sign(2, (1, 2, 3)) == -1

@@ -11,6 +11,7 @@ from helpers import dense
 from reference_kernels import (
     char_poly_fraction,
     mat_mul,
+    nonzero_eigenvalue_product,
     pivot_columns_dense,
     smith_normal_form_dense,
 )
@@ -28,10 +29,10 @@ from simtree.exactlinalg import (
     columns_of,
     definite_det,
     fraction_det,
+    gram_pseudodeterminant,
     homology,
     integer_spectrum_check,
     is_apc,
-    nonzero_eigenvalue_product,
     pivot_columns,
     rank,
     smith_normal_form,
@@ -300,6 +301,24 @@ def test_nonzero_eigenvalue_product():
     assert nonzero_eigenvalue_product([[0, 0], [0, 0]]) == 1
     # eigenvalues {0, 3, 3}: rank 2 with pivot columns 0 and 1
     assert nonzero_eigenvalue_product([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]) == 9
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices)
+def test_gram_pseudodeterminant_matches_dense_reference(M):
+    # non-unit entries and zero columns take the Smith-form branch for B_PQ
+    n_rows = len(M)
+    BBt = mat_mul(M, [list(c) for c in zip(*M)]) if M and M[0] else [[0] * n_rows] * n_rows
+    assert gram_pseudodeterminant(columns_of(M), n_rows) == nonzero_eigenvalue_product(BBt)
+
+
+def test_gram_pseudodeterminant_examples():
+    assert gram_pseudodeterminant([], 0) == gram_pseudodeterminant([[], []], 3) == 1
+    assert gram_pseudodeterminant([[(0, 2)]], 1) == 4
+    # B = [[2, 0], [1, 3]]: B B^T = [[4, 2], [2, 10]], det 36 = det(B)^2
+    assert gram_pseudodeterminant(columns_of([[2, 0], [1, 3]]), 2) == 36
+    # rank 1: B = [[1, 2], [2, 4]], B B^T = [[5, 10], [10, 20]], eigenvalues 25 and 0
+    assert gram_pseudodeterminant(columns_of([[1, 2], [2, 4]]), 2) == 25
 
 
 @pytest.mark.parametrize("M", [

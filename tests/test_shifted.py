@@ -100,6 +100,20 @@ def test_non_shifted_family_rejected():
         critical_pairs([(1, 3), (2, 4)], 1)
 
 
+def test_critical_pairs_checks_every_family():
+    # the callers that know their complex is shifted skip the family check;
+    # the public entry points keep it
+    not_shifted = SimplicialComplex.from_facets([[1, 2], [1, 4]])  # (1, 3) is missing
+    for family in (not_shifted.faces_of_dim(1), [(1, 2, 4)], [(2, 3)]):
+        with pytest.raises(DomainError, match="family is not shifted"):
+            critical_pairs(family, 1)
+        with pytest.raises(DomainError, match="family is not shifted"):
+            lsg_direct(family, 1)
+    with pytest.raises(DomainError):
+        shifted_spectrum(not_shifted, 1)
+    assert critical_pairs([(1, 2), (1, 3)], 1) == critical_pairs([(1, 3), (1, 2)])
+
+
 # -- z-polynomials ---------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from reference_kernels import (
     dense_up_down_laplacian,
     find_sst_reverse_delete,
+    nonzero_eigenvalue_product,
     pivot_columns_dense,
     ridge_tree_torsion_reference,
     smith_normal_form_dense,
@@ -19,14 +20,17 @@ from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import DomainError, ExactnessError, InputError, ResourceLimitError
 from simtree.exactlinalg import (
+    ColumnReduction,
     bareiss_det,
     betti,
     char_poly,
     definite_det,
     homology,
+    gram_pseudodeterminant,
     is_apc,
-    nonzero_eigenvalue_product,
+    pivot_columns,
     rank,
+    transpose,
 )
 from simtree.fixtures import (
     bipyramid,
@@ -393,9 +397,45 @@ def test_pi_equals_char_poly_coefficient():
     for cx in [*_count_test_complexes(), *random_apc_2_complexes(20)]:
         for k in range(cx.dim + 1):
             L = up_down_laplacian(cx, k)
-            assert nonzero_eigenvalue_product(L) == abs(char_poly(L)[len(L) - rank(L)])
+            assert pi(cx, k) == abs(char_poly(L)[len(L) - rank(L)])
             count += 1
     assert count > 1300
+
+
+def _random_2_complexes(count, n, seed):
+    """Random 2-complexes on n vertices, APC or not: the closure of a random
+    set of triangles and edges."""
+    rng = random.Random(seed)
+    triangles = list(combinations(range(1, n + 1), 3))
+    edges = list(combinations(range(1, n + 1), 2))
+    return [SimplicialComplex.closure(rng.sample(triangles, rng.randint(1, 12))
+                                      + rng.sample(edges, rng.randint(0, 6)))
+            for _ in range(count)]
+
+
+def test_pi_matches_dense_reference():
+    # pi from bd_k's supports equals the product of the nonzero eigenvalues
+    # of the dense Laplacian at every k, and the coboundary's pivots are the
+    # Laplacian's pivot columns
+    random_7 = _random_2_complexes(30, 7, SEED)
+    assert not all(is_apc(cx) for cx in random_7)
+    fixtures = [rp2_six_vertices(), bipyramid(), *(complete_graph(n) for n in range(2, 8))]
+    cases = 0
+    for cx in [*enumerate_shifted_complexes(6, 2), *random_7, *fixtures]:
+        for k in range(cx.dim + 1):
+            L = up_down_laplacian(cx, k)
+            bd = cx.boundary_matrix(k)
+            P = ColumnReduction(transpose(bd.supports, bd.n_rows)).pivots
+            assert list(P) == pivot_columns(L)
+            assert pi(cx, k) == nonzero_eigenvalue_product(L)
+            cases += 1
+    assert cases > 1300
+    assert [pi(bipyramid(), k) for k in range(3)] == [5, 375, 1125]
+    assert pi(complete_graph(5), 1) == 5 ** 4  # eigenvalues 5, 5, 5, 5 and 0
+    # rank bd_k = 0: bd_{dim+1} has no columns, and an empty product is 1
+    for cx in (rp2_six_vertices(), complete_graph(3)):
+        bd = cx.boundary_matrix(cx.dim + 1)
+        assert gram_pseudodeterminant(bd.supports, bd.n_rows) == 1
 
 
 def test_pi_equals_principal_minor_sum():
