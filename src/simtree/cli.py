@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input/parse error, 2 domain error (non-APC,
-non-shifted, ...), 3 resource cap exceeded. Output is deterministic for a
+non-shifted, ...), 3 resource budget exceeded. Output is deterministic for a
 fixed configuration; --json switches structured output on where available.
 """
 
@@ -27,12 +27,7 @@ from .shifted import (
     threshold_graph_from_degrees,
     threshold_tau,
 )
-from .trees import (
-    DEFAULT_SUBSET_CAP,
-    enumerate_ssts,
-    tau_via_alternating_product,
-    tau_via_reduced_laplacian,
-)
+from .trees import enumerate_ssts, tau_via_alternating_product, tau_via_reduced_laplacian
 from .weighted import weighted_tau
 
 
@@ -70,7 +65,7 @@ def _cmd_count(args) -> str:
     cx = _load_any_complex(args)
     k = args.dim if args.dim is not None else cx.dim
     if args.method == "oracle":
-        count = enumerate_ssts(cx, k, cap=args.cap, include_trees=args.trees)
+        count = enumerate_ssts(cx, k, include_trees=args.trees)
         out = {"tau": count.tau}
         if args.trees:
             out["trees"] = [{"facets": [face_label(F) for F in T], "torsion": t}
@@ -88,7 +83,7 @@ def _poly_output(poly, as_json: bool) -> str:
 
 def _cmd_weighted(args) -> str:
     cx = _load_any_complex(args)
-    return _poly_output(weighted_tau(cx, args.scheme, det_cap=args.det_cap), args.json)
+    return _poly_output(weighted_tau(cx, args.scheme), args.json)
 
 
 def _is_int_list(value) -> bool:
@@ -203,14 +198,12 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--method", choices=("oracle", "laplacian", "altproduct"),
                    default="laplacian")
-    p.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP)
     p.add_argument("--trees", action="store_true", help="list trees (oracle method)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("weighted", help="weighted enumerator tau-hat_d")
     add_complex_args(p)
     p.add_argument("--scheme", choices=("fine", "coarse", "facet"), required=True)
-    p.add_argument("--det-cap", type=int, default=12)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_weighted)
 

@@ -172,14 +172,10 @@ class SimplicialComplex:
         return len(self._by_dim.get(i, ()))
 
     def facets(self) -> tuple:
-        """Inclusion-maximal faces."""
-        out = []
-        for d in sorted(self._by_dim, reverse=True):
-            for F in self._by_dim[d]:
-                fs = set(F)
-                if not any(fs < set(G) for e in self._by_dim if e > d for G in self._by_dim[e]):
-                    out.append(F)
-        return tuple(sorted(out, key=lambda F: (len(F), F)))
+        """Inclusion-maximal faces: in a complex, the faces that are no
+        codimension-1 face of a face."""
+        covered = {G[:i] + G[i + 1:] for G in self._faces for i in range(len(G))}
+        return tuple(sorted(self._faces - covered, key=lambda F: (len(F), F)))
 
     def __contains__(self, F) -> bool:
         return tuple(F) in self._faces
@@ -323,6 +319,7 @@ def shifted_ideal_faces(generators, p: int) -> set:
 
 def shifted_from_generators(generators, p: int) -> SimplicialComplex:
     """The shifted complex generated by the given faces, with minimal vertex p."""
+    _require_min_vertex(p)
     return _shifted_complex([face(gen) for gen in generators], p)
 
 
@@ -338,6 +335,11 @@ def _shifted_complex(gens, p: int) -> SimplicialComplex:
 
 
 # -- JSON interchange ---------------------------------------------------
+
+
+def _require_min_vertex(p):
+    if type(p) is not int or p < 1:
+        raise InputError(f"min_vertex must be a positive integer, got {p!r}")
 
 
 def _require_nonempty(facets):
@@ -361,8 +363,7 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
         return SimplicialComplex._closure(facets)
     if "shifted_generators" in data:
         p = data.get("min_vertex", 1)
-        if type(p) is not int or p < 1:
-            raise InputError(f"min_vertex must be a positive integer, got {p!r}")
+        _require_min_vertex(p)
         return _shifted_complex(_json_faces(data, "shifted_generators"), p)
     raise InputError("complex JSON needs a 'facets' or 'shifted_generators' key")
 

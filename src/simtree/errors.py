@@ -14,10 +14,10 @@ class DomainError(Exception):
 
 
 class ResourceLimitError(Exception):
-    """A configured cap was exceeded: the oracle's subset count, the
-    symbolic-determinant size, the face budget (complexes.FACE_CAP), the
-    Laurent product budget (laurent.PRODUCT_PAIR_CAP) or a 64-bit exponent
-    range."""
+    """A budget was exceeded: the oracle's subset count (trees.SUBSET_CAP),
+    the symbolic-determinant size (weighted.DET_SIZE_CAP), the face budget
+    (complexes.FACE_CAP), the Laurent product budget (laurent.PRODUCT_PAIR_CAP)
+    or a 64-bit exponent range."""
 
 
 class ExactnessError(ArithmeticError):

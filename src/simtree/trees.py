@@ -32,7 +32,7 @@ from .exactlinalg import (
 )
 from .laurent import _poly, key_quotient
 
-DEFAULT_SUBSET_CAP = 2_000_000
+SUBSET_CAP = 2_000_000  # the oracle's budget on comb(f_k, size) candidate subsets
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,7 @@ def is_sst(cx: SimplicialComplex, k: int, facet_set) -> SstResult:
     return SstResult(is_tree=all(conds), conditions=conds, certificate=cert)
 
 
-def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
-                   include_trees: bool = True) -> TreeCount:
+def enumerate_ssts(cx: SimplicialComplex, k: int, include_trees: bool = True) -> TreeCount:
     """Brute-force oracle: every k-SST with its torsion order, and tau_k.
 
     Trees are exactly the column bases of bd_k (the count condition pins the
@@ -201,15 +200,16 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, cap: int = DEFAULT_SUBSET_CAP,
 
     A path with no pivot in others is unimodular: its columns are unimodularly
     equivalent to a unit triangular block, so the tree's torsion is 1. Only
-    the other trees take a Smith normal form.
+    the other trees take a Smith normal form. ResourceLimitError when the
+    comb(f_k, size) candidate subsets pass SUBSET_CAP, the oracle's budget.
     """
     _require_apc(cx, k)
     kfaces = cx.faces_of_dim(k)
     n_cols = len(kfaces)
     size = cx.f(k - 1) - boundary_rank(cx, k - 1)
-    if comb(n_cols, size) > cap:
-        raise ResourceLimitError(
-            f"{comb(n_cols, size)} candidate subsets exceed the cap {cap}")
+    if comb(n_cols, size) > SUBSET_CAP:
+        raise ResourceLimitError(f"{comb(n_cols, size)} candidate subsets exceed the "
+                                 f"oracle's budget {SUBSET_CAP}")
     supports = cx.boundary_matrix(k).supports
     units, others = {}, {}  # the path's pivots, as in ColumnReduction
     results = []

@@ -26,6 +26,7 @@ from .laurent import LaurentPoly, _packing, _poly, monomial_for_face, product_su
 from .trees import LaplacianFactors, enumerate_ssts, kept_indices, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
+DET_SIZE_CAP = 12  # the size budget: symbolic_det refuses larger matrices
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMa
     return SymbolicMatrix(fac.boundary.rows, fac.boundary.rows, fac.symbolic_entries())
 
 
-def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
+def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
     """Exact determinant by column expansion with minor memoization, in one
     packed layout. Every term takes one entry from each column, so the bounds
     sum the columns' exponent ranges; each entry is packed once, each minor is
@@ -85,14 +86,14 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
 
     Minors are keyed by the bitmask of available rows (the column index is the
     popcount), so the cost is O(2^n * n) products of an entry and a minor.
+    Raises ResourceLimitError when n passes DET_SIZE_CAP, the size budget.
     """
     n = M.n_rows
     if n != M.n_cols:
         raise InputError("determinant requires a square matrix")
-    if n > cap:
+    if n > DET_SIZE_CAP:
         raise ResourceLimitError(
-            f"symbolic determinant of size {n} exceeds the cap {cap}; "
-            "raise the cap with --det-cap (det_cap= in weighted_tau)")
+            f"symbolic determinant of size {n} exceeds the size budget {DET_SIZE_CAP}")
     kind, pack, unpack, zero = _packing([row[j] for row in M.entries] for j in range(n))
     entries = [[[(pack(k), c) for k, c in e.terms.items()] for e in row] for row in M.entries]
     one = {0: 1}
@@ -128,12 +129,12 @@ def symbolic_det(M: SymbolicMatrix, cap: int = 12) -> LaurentPoly:
     return _poly({unpack(k + zero): c for k, c in minor((1 << n) - 1, 0).items()}, kind)
 
 
-def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,
-                 det_cap: int = 12) -> LaurentPoly:
-    """The weighted spanning-tree enumerator tau-hat_d as an exact polynomial."""
+def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None) -> LaurentPoly:
+    """The weighted spanning-tree enumerator tau-hat_d as an exact polynomial;
+    ResourceLimitError when its symbolic_det passes DET_SIZE_CAP."""
     U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
     LU = weighted_up_down_laplacian(cx, scheme).delete_labels(U)
-    result = symbolic_det(LU, cap=det_cap) * correction.numerator
+    result = symbolic_det(LU) * correction.numerator
     result = result.div_exact(correction.denominator)  # ExactnessError on a remainder
     _require(result.has_nonnegative_integer_coeffs(),
              "weighted enumerator must have nonnegative integer coefficients")
@@ -142,7 +143,7 @@ def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None,
 
 def weighted_tau_at_points(cx: SimplicialComplex, scheme: str, assignments,
                            ridge_tree=None) -> list:
-    """Evaluation mode for matrices above the symbolic cap: the exact value of
+    """Evaluation mode for matrices above DET_SIZE_CAP: the exact value of
     tau-hat at each assignment (int or Fraction values), one integer Bareiss
     determinant of the reduced weighted Laplacian per point."""
     U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)

@@ -1,7 +1,7 @@
 """Replay CLI calls drawn from test_cli.py's fuzz strategies and print one
 digest of everything they printed.
 
-    python tests/cli_replay.py [-n N]
+    python tests/cli_replay.py [-n N] [--src DIR] [--dump FILE]
 
 Each draw is an argv (test_cli._argv), a complex file (_complex_text) and a
 spectrum file (_spectrum_text). The files are written at fixed paths in the
@@ -12,13 +12,18 @@ every (argv, exit code, stdout, stderr).
 
 The draws depend only on N, the strategies and the installed hypothesis, so
 two runs on one checkout print the same line, and so do two checkouts whose
-outputs agree. The script imports simtree from the src/ next to this tests/
-directory. pytest does not collect it.
+outputs agree. The strategies always come from the test_cli.py next to this
+script. simtree comes from --src (default: the src/ next to this tests/
+directory), so one checkout's draws can replay against another checkout's
+code. --dump writes every call as one JSON object per line of a JSON list,
+so that two runs can be compared call by call with diff. pytest does not
+collect this script.
 """
 
 import argparse
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from collections import Counter
@@ -26,20 +31,21 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
-
-from hypothesis import HealthCheck, Phase, given, seed, settings  # noqa: E402
-from test_cli import _argv, _complex_text, _spectrum_text  # noqa: E402
-
-from simtree.cli import main  # noqa: E402
 
 
-def replay(n: int) -> str:
+def replay(n: int, src: Path, dump: Path | None = None) -> str:
+    sys.path[:0] = [str(src), str(HERE)]
+    from hypothesis import HealthCheck, Phase, given, seed, settings
+    from test_cli import _argv, _complex_text, _spectrum_text
+
+    from simtree.cli import main
+
     directory = Path(tempfile.gettempdir()) / "simtree-cli-replay"
     directory.mkdir(exist_ok=True)
     files = {"COMPLEX": directory / "complex.json", "SPECTRA": directory / "spectra.json"}
     codes = Counter()
     digest = hashlib.sha256()
+    calls = []
 
     @seed(0)
     @settings(max_examples=n, database=None, deadline=None, phases=[Phase.generate],
@@ -54,8 +60,12 @@ def replay(n: int) -> str:
             code = main(argv)
         codes[code] += 1
         digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+        calls.append(json.dumps({"argv": argv, "code": code, "stdout": out.getvalue(),
+                                 "stderr": err.getvalue()}, sort_keys=True))
 
     call()
+    if dump is not None:
+        dump.write_text("[\n" + ",\n".join(calls) + "\n]\n")
     counts = ", ".join(f"exit {code}: {count}" for code, count in sorted(codes.items()))
     return f"{sum(codes.values())} calls; {counts}; sha256 {digest.hexdigest()}"
 
@@ -63,4 +73,9 @@ def replay(n: int) -> str:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-n", type=int, default=1500, help="calls to draw (default 1500)")
-    print(replay(parser.parse_args().n))
+    parser.add_argument("--src", type=Path, default=HERE.parent / "src",
+                        help="directory to import simtree from (default: ../src)")
+    parser.add_argument("--dump", type=Path,
+                        help="write every (argv, exit code, stdout, stderr) to FILE as JSON")
+    args = parser.parse_args()
+    print(replay(args.n, args.src.resolve(), args.dump))

@@ -409,6 +409,21 @@ def weighted_laplacian_product(cx, scheme: str) -> SymbolicMatrix:
     return symbolic_matmul(B, symbolic_transpose(B))
 
 
+def facets_reference(cx) -> tuple:
+    """Inclusion-maximal faces: each face compared with every face of higher
+    dimension."""
+    out = []
+    by_dim = {}
+    for F in cx.all_faces():
+        by_dim.setdefault(len(F) - 1, []).append(F)
+    for d in sorted(by_dim, reverse=True):
+        for F in by_dim[d]:
+            fs = set(F)
+            if not any(fs < set(G) for e in by_dim if e > d for G in by_dim[e]):
+                out.append(F)
+    return tuple(sorted(out, key=lambda F: (len(F), F)))
+
+
 def is_shifted_all_pairs(cx) -> bool:
     """The exchange condition tried for every smaller vertex i of every j in
     every face F: i not in F => F - j + i is a face."""

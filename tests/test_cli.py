@@ -49,17 +49,39 @@ def test_count_non_apc_exit_2(capsys):
 
 
 def test_count_cap_exit_3(capsys):
-    code, _, err = run(capsys, "count", "--complex", f"{DATA}/bipyramid.json",
-                       "--dim", "2", "--method", "oracle", "--cap", "3")
-    assert code == 3
-    assert "cap" in err
+    # K_9: comb(36, 8) candidate edge sets for the oracle
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--generators", "8,9", "--method", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: 30260340 candidate subsets exceed the oracle's budget 2000000\n"
 
 
 def test_weighted_det_cap_exit_3(capsys):
-    code, out, err = run(capsys, "weighted", "--complex", f"{DATA}/bipyramid.json",
-                         "--scheme", "coarse", "--det-cap", "2")
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and "exceeds the cap 2" in err and "--det-cap" in err
+    # the 2-skeleton of the 7-vertex simplex: a 15 x 15 reduced Laplacian
+    code, out, err = run(capsys, "weighted", "--generators", "5,6,7", "--scheme", "coarse")
+    assert (code, out) == (3, "")
+    assert err == "error: symbolic determinant of size 15 exceeds the size budget 12\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--complex", f"{DATA}/bipyramid.json", "--method", "oracle", "--cap", "3"],
+    ["weighted", "--complex", f"{DATA}/bipyramid.json", "--scheme", "coarse", "--det-cap", "2"],
+])
+def test_budgets_are_not_options(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["shifted", "spectrum", "--generators", "2,3", "--min-vertex", "0"], 0),
+    (["count", "--generators", "2,3", "--min-vertex", "-2", "--dim", "1"], -2),
+])
+def test_generators_with_a_min_vertex_below_1_exit_1(capsys, argv, p):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: min_vertex must be a positive integer, got {p}\n"
 
 
 def test_parse_error_exit_1(capsys):
@@ -338,10 +360,10 @@ _OPTIONS = {
     "homology": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text)},
     "count": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text),
               "--method": _value(st.sampled_from(["oracle", "laplacian", "altproduct", "x"])),
-              "--cap": _value(st.integers(0, 100)), "--trees": _FLAG},
+              "--trees": _FLAG},
     "weighted": {**_COMPLEX_OPTIONS,
                  "--scheme": _value(st.sampled_from(["fine", "coarse", "facet", "x"])),
-                 "--det-cap": _value(st.integers(0, 12)), "--json": _FLAG},
+                 "--json": _FLAG},
     "shifted": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text), "--coarse": _FLAG,
                 "--json": _FLAG, "--spectrum-file": st.just(["SPECTRA"])},
     "threshold": {"--degrees": _value(_csv), "--json": _FLAG},

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 from helpers import complex_to_json_dict, cone, dense, f_vector
-from reference_kernels import is_shifted_all_pairs, vertex_sign
+from reference_kernels import facets_reference, is_shifted_all_pairs, vertex_sign
 
 from simtree.complexes import (
     FACE_CAP,
@@ -186,6 +186,28 @@ def test_boundary_dimension_range():
 def test_shifted_from_generators_bipyramid():
     assert shifted_from_generators([(2, 3, 5)], 1) == bipyramid()
     assert len(bipyramid().faces_of_dim(2)) == 7
+
+
+@pytest.mark.parametrize("p", [0, -2])
+def test_shifted_from_generators_rejects_a_min_vertex_below_1(p):
+    with pytest.raises(InputError, match=f"^min_vertex must be a positive integer, got {p}$"):
+        shifted_from_generators([(2, 3)], p)
+
+
+def test_facets_match_the_all_pairs_reference():
+    fixtures = [bipyramid(), bipyramid_subcomplex(3), rp2_six_vertices(), tetrahedron_boundary(),
+                simplex_skeleton(6, 2), SimplicialComplex.empty(),
+                SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (5,)])]
+    for cx in [*enumerate_shifted_complexes(6, 2), *fixtures]:
+        assert cx.facets() == facets_reference(cx)
+
+
+def test_facets_of_a_large_star_in_linear_time():
+    star = shifted_from_generators([(1, 8001)], 1)  # K_{1,8000}
+    start = time.perf_counter()
+    facets = star.facets()
+    assert time.perf_counter() - start < 1.0
+    assert facets == tuple((1, v) for v in range(2, 8002))
 
 
 @pytest.mark.parametrize("generators", [

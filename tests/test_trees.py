@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from helpers import dense
@@ -15,7 +15,7 @@ from reference_kernels import (
     smith_normal_form_dense,
 )
 
-from simtree import exactlinalg
+from simtree import exactlinalg, trees
 from simtree.complexes import SimplicialComplex
 from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import DomainError, ExactnessError, InputError, ResourceLimitError
@@ -23,6 +23,7 @@ from simtree.exactlinalg import (
     ColumnReduction,
     bareiss_det,
     betti,
+    boundary_rank,
     char_poly,
     definite_det,
     homology,
@@ -148,12 +149,12 @@ def _every_tree(cx, k):
     kfaces = cx.faces_of_dim(k)
     bd = dense(cx.boundary_matrix(k))
     size = len(pivot_columns_dense(bd))
-    trees = []
+    found = []
     for idxs in sorted(combinations(range(len(kfaces)), size), key=lambda s: s[::-1]):
         at_set = [[row[j] for j in idxs] for row in bd]
         if len(pivot_columns_dense(at_set)) == size:
-            trees.append((tuple(kfaces[j] for j in idxs), prod(smith_normal_form_dense(at_set))))
-    return tuple(trees)
+            found.append((tuple(kfaces[j] for j in idxs), prod(smith_normal_form_dense(at_set))))
+    return tuple(found)
 
 
 TRIANGLES_7 = list(combinations(range(1, 8), 3))
@@ -193,9 +194,17 @@ def test_oracle_lists_every_tree_of_relabelled_rp2_plus_a_triangle(perm, extra, 
     assert enumerate_ssts(cx, k).per_tree == _every_tree(cx, k)
 
 
-def test_enumerate_respects_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_ssts(complete_graph(6), 1, cap=10)
+def test_enumerate_respects_cap(monkeypatch):
+    with pytest.raises(ResourceLimitError,
+                       match=r"^30260340 candidate subsets exceed the oracle's budget 2000000$"):
+        enumerate_ssts(complete_graph(9), 1)
+    B = bipyramid()
+    subsets = comb(B.f(2), B.f(1) - boundary_rank(B, 1))  # comb(7, 5) = 21
+    monkeypatch.setattr(trees, "SUBSET_CAP", subsets - 1)
+    with pytest.raises(ResourceLimitError, match=f"exceed the oracle's budget {subsets - 1}$"):
+        enumerate_ssts(B, 2)
+    monkeypatch.setattr(trees, "SUBSET_CAP", subsets)
+    assert enumerate_ssts(B, 2).tau == 15
 
 
 def test_enumerate_non_apc():

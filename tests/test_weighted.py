@@ -211,12 +211,20 @@ def test_symbolic_det_examples():
     big = SymbolicMatrix(rows=tuple(range(13)), cols=tuple(range(13)),
                          entries=tuple(tuple(LaurentPoly.one() for _ in range(13))
                                        for _ in range(13)))
-    with pytest.raises(ResourceLimitError, match="size 13 exceeds the cap 12; raise the cap "
-                       "with --det-cap"):
+    with pytest.raises(ResourceLimitError,
+                       match="^symbolic determinant of size 13 exceeds the size budget 12$"):
         symbolic_det(big)
-    with pytest.raises(ResourceLimitError, match=r"size 5 exceeds the cap 2; .*det_cap="):
-        weighted_tau(bipyramid(), "coarse", det_cap=2)
     assert symbolic_det(SymbolicMatrix(rows=(), cols=(), entries=())) == LaurentPoly.one()
+
+
+def test_symbolic_det_reads_the_size_budget_at_call_time(monkeypatch):
+    # the bipyramid's reduced weighted Laplacian is 5 x 5
+    expected = weighted_tau(bipyramid(), "coarse")
+    monkeypatch.setattr(weighted, "DET_SIZE_CAP", 4)
+    with pytest.raises(ResourceLimitError, match="size 5 exceeds the size budget 4$"):
+        weighted_tau(bipyramid(), "coarse")
+    monkeypatch.setattr(weighted, "DET_SIZE_CAP", 5)
+    assert weighted_tau(bipyramid(), "coarse") == expected
 
 
 _DET_VARS = {"f": (("f", 1, 1), ("f", 2, 1)), "c": (("c", 1), ("c", 2)),
@@ -401,7 +409,7 @@ def test_weighted_tau_raises_when_the_correction_does_not_divide(monkeypatch):
     with pytest.raises(ExactnessError):
         weighted_tau(B, "coarse")
     real_det = weighted.symbolic_det
-    monkeypatch.setattr(weighted, "symbolic_det", lambda M, cap=12: real_det(M, cap) * 7)
+    monkeypatch.setattr(weighted, "symbolic_det", lambda M: real_det(M) * 7)
     assert weighted_tau(B, "coarse") == expected
 
 
