@@ -201,7 +201,7 @@ def test_weighted_oracle_tetrahedron_facet():
     assert weighted_oracle(T, "facet") == poly_sum(terms)
 
 
-def test_symbolic_det_examples():
+def test_symbolic_det_examples(monkeypatch):
     diag = SymbolicMatrix(rows=(1, 2), cols=(1, 2), entries=(
         (X_coarse(1), LaurentPoly.zero()), (LaurentPoly.zero(), X_coarse(2))))
     assert symbolic_det(diag) == X_coarse(1) * X_coarse(2)
@@ -215,10 +215,7 @@ def test_symbolic_det_examples():
                        match="^symbolic determinant of size 13 exceeds the size budget 12$"):
         symbolic_det(big)
     assert symbolic_det(SymbolicMatrix(rows=(), cols=(), entries=())) == LaurentPoly.one()
-
-
-def test_symbolic_det_reads_the_size_budget_at_call_time(monkeypatch):
-    # the bipyramid's reduced weighted Laplacian is 5 x 5
+    # the budget is read at call time; the bipyramid's reduced Laplacian is 5 x 5
     expected = weighted_tau(bipyramid(), "coarse")
     monkeypatch.setattr(weighted, "DET_SIZE_CAP", 4)
     with pytest.raises(ResourceLimitError, match="size 5 exceeds the size budget 4$"):
