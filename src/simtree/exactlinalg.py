@@ -12,7 +12,8 @@ or columns given by their supports; everything is exact. Algorithms:
   at the unit pivots' rows, go to a dense elimination with a minimal pivot.
   Boundaries are reduced on their stored supports, and each once per
   complex. The oracle's DFS (trees.enumerate_ssts) takes the same step on
-  the supports;
+  the supports: it carries each candidate column, reduced against the path,
+  down the tree, and reduces it further only when a new pivot takes its low;
 - determinants by fraction-free Bareiss elimination; a symmetric positive
   definite matrix (a reduced Laplacian) by the same elimination on the upper
   triangle with no row swaps, every pivot checked positive;
@@ -156,20 +157,18 @@ def _subtract(v, c, p):
             del v[r]
 
 
-def reduce_column(col, units, others):
-    """Reduce the column support col at its last nonzero row and file it as a
-    new pivot. units and others map each pivot's last row to its reduced
-    column, +-1 there in units and primitive in others. Against a unit pivot
-    the step is exact subtraction, a unimodular column operation; against any
-    other it is fraction-free, the result kept primitive.
+def reduce_column(v, units, others):
+    """Reduce the sparse column v ({row: nonzero value}, changed in place) at
+    its last nonzero row, its low, until the low is no pivot's. units and
+    others map each pivot's low to its reduced column, +-1 there in units and
+    primitive in others. Against a unit pivot the step is exact subtraction,
+    a unimodular column operation; against any other it is fraction-free, the
+    result kept primitive.
 
-    Returns (v, image). v is empty iff col is in the span of the pivots, and
-    is otherwise filed under max(v): in units iff unimodular operations alone
-    took it to +-1 there. image is a unimodular image of col (v before its
-    first fraction-free step), or None when unimodular operations alone took
-    col to a unit pivot or to zero."""
-    v = dict(col)
-    image = None
+    Returns (v, low, fraction_free): v is empty (and low None) iff the column
+    is in the span of the pivots, and fraction_free tells whether a
+    fraction-free step ran. No pivot is filed: file_pivot does that."""
+    fraction_free = False
     while v:
         low = max(v)
         p = units.get(low)
@@ -178,22 +177,26 @@ def reduce_column(col, units, others):
             continue
         p = others.get(low)
         if p is None:
-            break
-        if image is None:
-            image = v
+            return v, low, fraction_free
+        fraction_free = True
         a, b = p[low], v[low]
         g = gcd(a, b)
         a, b = a // g, b // g
         w = {r: a * x for r, x in v.items()}
         _subtract(w, b, p)
         v = _primitive(w)
-    if not v:
-        return v, image
-    if image is None and v[low] in (1, -1):
+    return v, None, fraction_free
+
+
+def file_pivot(v, low, fraction_free, units, others) -> bool:
+    """File a nonzero result of reduce_column as the pivot at its low: in
+    units iff unimodular operations alone took it to +-1 there, and otherwise
+    primitive in others. Returns whether it is a unit pivot."""
+    if not fraction_free and v[low] in (1, -1):
         units[low] = v
-        return v, None
+        return True
     others[low] = _primitive(v)
-    return v, image or v
+    return False
 
 
 class ColumnReduction:
@@ -210,15 +213,17 @@ class ColumnReduction:
     __slots__ = ("pivots", "lows", "_ones", "_units", "_rest")
 
     def __init__(self, columns):
-        units, others = {}, {}  # last row -> pivot column, as in reduce_column
+        units, others = {}, {}  # low -> pivot column, as in reduce_column
         pivots = []
-        rest = []  # a unimodular image of every other nonzero column
+        rest = []  # columns that unimodular operations alone take to no unit pivot or 0
         for j, col in enumerate(columns):
-            v, image = reduce_column(col, units, others)
+            v, low, fraction_free = reduce_column(dict(col), units, others)
             if v:
                 pivots.append(j)
-            if image:
-                rest.append(image)
+                if not file_pivot(v, low, fraction_free, units, others):
+                    rest.append(col)
+            elif fraction_free:
+                rest.append(col)
         self.pivots = tuple(pivots)
         self.lows = (*units, *others)  # the pivots' last rows, unit pivots first
         # the unit pivots' columns are kept only to clear the other columns

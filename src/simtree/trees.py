@@ -26,6 +26,7 @@ from .exactlinalg import (
     boundary_pivots,
     boundary_rank,
     definite_det,
+    file_pivot,
     gram_pseudodeterminant,
     homology,
     reduce_column,
@@ -193,10 +194,15 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, include_trees: bool = True) ->
 
     Trees are exactly the column bases of bd_k (the count condition pins the
     size to rank bd_k for an APC ambient skeleton), enumerated by DFS on the
-    column supports. Each step reduces a column against the path's pivots and
-    files it by reduce_column, the step of ColumnReduction; the path keeps its
-    pivots in the same two dicts, adding one on the way down and removing it
-    on the way back.
+    column supports. The path keeps its pivots in the two dicts of
+    ColumnReduction, filing one by file_pivot on the way down and removing
+    it on the way back. Every column after the path's last is carried down
+    as a candidate, reduced against the path by reduce_column and ending at
+    a low that is no pivot's row. A new pivot at row l changes only the
+    candidates whose low is l: each is reduced further from where it
+    stopped, taking the steps a reduction from scratch would take, and is
+    dropped for the subtree when it reduces to zero, being dependent on the
+    path. When one column is still needed, every candidate completes a tree.
 
     A path with no pivot in others is unimodular: its columns are unimodularly
     equivalent to a unit triangular block, so the tree's torsion is 1. Only
@@ -206,28 +212,39 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, include_trees: bool = True) ->
     _require_apc(cx, k)
     kfaces = cx.faces_of_dim(k)
     n_cols = len(kfaces)
-    size = cx.f(k - 1) - boundary_rank(cx, k - 1)
+    size = cx.f(k - 1) - boundary_rank(cx, k - 1)  # at least 1: bd_k of a k-face is nonzero
     if comb(n_cols, size) > SUBSET_CAP:
         raise ResourceLimitError(f"{comb(n_cols, size)} candidate subsets exceed the "
                                  f"oracle's budget {SUBSET_CAP}")
     supports = cx.boundary_matrix(k).supports
     units, others = {}, {}  # the path's pivots, as in ColumnReduction
+    chosen = []
     results = []
 
-    def dfs(start, chosen):
-        if len(chosen) == size:
-            results.append((tuple(chosen), not others))
+    def dfs(candidates, need, unimodular):
+        # candidates: (j, v, low, fraction_free) of reduce_column, v nonzero
+        if need == 1:
+            results.extend(((*chosen, j), unimodular and not fraction_free and v[low] in (1, -1))
+                           for j, v, low, fraction_free in candidates)
             return
-        for j in range(start, n_cols - size + len(chosen) + 1):
-            v, _ = reduce_column(supports[j], units, others)
-            if v:
-                chosen.append(j)
-                dfs(j + 1, chosen)
-                chosen.pop()
-                low = max(v)
-                del (units if low in units else others)[low]
+        for i in range(len(candidates) - need + 1):
+            j, v, low, fraction_free = candidates[i]
+            unit = file_pivot(v, low, fraction_free, units, others)
+            below = []
+            for c in candidates[i + 1:]:
+                if c[2] == low:
+                    w, w_low, w_fraction_free = reduce_column(dict(c[1]), units, others)
+                    if w:
+                        below.append((c[0], w, w_low, c[3] or w_fraction_free))
+                else:
+                    below.append(c)
+            chosen.append(j)
+            dfs(below, need - 1, unimodular and unit)
+            chosen.pop()
+            del (units if unit else others)[low]
 
-    dfs(0, [])
+    dfs([(j, *reduce_column(dict(col), units, others)) for j, col in enumerate(supports)],
+        size, True)
     results.sort(key=lambda tree: tuple(reversed(tree[0])))  # colex over index sets
     tau = 0
     per_tree = []

@@ -78,6 +78,14 @@ def weighted_up_down_laplacian(cx: SimplicialComplex, scheme: str) -> SymbolicMa
     return SymbolicMatrix(fac.boundary.rows, fac.boundary.rows, fac.symbolic_entries())
 
 
+def _require_det_size(n: int):
+    """Refuse a symbolic determinant of size n past DET_SIZE_CAP, the size
+    budget."""
+    if n > DET_SIZE_CAP:
+        raise ResourceLimitError(
+            f"symbolic determinant of size {n} exceeds the size budget {DET_SIZE_CAP}")
+
+
 def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
     """Exact determinant by column expansion with minor memoization, in one
     packed layout. Every term takes one entry from each column, so the bounds
@@ -91,9 +99,7 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
     n = M.n_rows
     if n != M.n_cols:
         raise InputError("determinant requires a square matrix")
-    if n > DET_SIZE_CAP:
-        raise ResourceLimitError(
-            f"symbolic determinant of size {n} exceeds the size budget {DET_SIZE_CAP}")
+    _require_det_size(n)
     kind, pack, unpack, zero = _packing([row[j] for row in M.entries] for j in range(n))
     entries = [[[(pack(k), c) for k, c in e.terms.items()] for e in row] for row in M.entries]
     one = {0: 1}
@@ -131,8 +137,10 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
 
 def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None) -> LaurentPoly:
     """The weighted spanning-tree enumerator tau-hat_d as an exact polynomial;
-    ResourceLimitError when its symbolic_det passes DET_SIZE_CAP."""
+    ResourceLimitError when its symbolic_det would pass DET_SIZE_CAP, raised
+    before any entry of the Laplacian is built."""
     U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
+    _require_det_size(cx.f(cx.dim - 1) - len(U))  # the size of the reduced Laplacian
     LU = weighted_up_down_laplacian(cx, scheme).delete_labels(U)
     result = symbolic_det(LU) * correction.numerator
     result = result.div_exact(correction.denominator)  # ExactnessError on a remainder

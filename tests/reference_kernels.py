@@ -5,6 +5,7 @@ the tests require identical results from both.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 
 from helpers import dense
@@ -13,7 +14,7 @@ from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
 from simtree.exactlinalg import bareiss_det, definite_det, fraction_det, homology
 from simtree.laurent import FINE, LaurentPoly, monomial_for_face, x_facet
-from simtree.trees import ridge_tree_reduction
+from simtree.trees import TreeCount, is_sst, ridge_tree_reduction
 from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
 
 
@@ -320,6 +321,22 @@ def find_sst_reverse_delete(cx, k) -> tuple:
         eligible = {chosen[idx] for v in kb for idx, x in enumerate(v) if x != 0}
         chosen.remove(max(eligible, key=lambda j: kfaces[j]))
     return tuple(kfaces[j] for j in chosen)
+
+
+def enumerate_ssts_reference(cx, k) -> TreeCount:
+    """Every k-SST by brute force: each subset of rank bd_k many k-faces, in
+    colex order, that is_sst accepts, with the product of the Smith normal
+    form of bd_k at the subset (smith_normal_form_dense) as its torsion."""
+    kfaces = cx.faces_of_dim(k)
+    bd = dense(cx.boundary_matrix(k))
+    size = len(pivot_columns_dense(bd))
+    per_tree = []
+    for idxs in sorted(combinations(range(len(kfaces)), size), key=lambda s: s[::-1]):
+        T = tuple(kfaces[j] for j in idxs)
+        if is_sst(cx, k, T).is_tree:
+            at_tree = [[row[j] for j in idxs] for row in bd]
+            per_tree.append((T, prod(smith_normal_form_dense(at_tree))))
+    return TreeCount(tau=sum(t * t for _, t in per_tree), per_tree=tuple(per_tree))
 
 
 def raise_key(key: tuple, a: int, d_cutoff: int):

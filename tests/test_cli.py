@@ -380,10 +380,21 @@ _REQUIRED = {
     "ferrers": ["--partition"],
 }
 _ACTIONS = ["spectrum", "tau", "critical-pairs", "hear", "x"]
+# Calls just past a budget, so that the draws reach its refusal: K_9's
+# oracle (comb(36, 8) candidate subsets), the 15 x 15 symbolic determinant of
+# the 2-skeleton of the 7-vertex simplex, and one shifted generator of 25,001
+# vertices (50,002 faces by the face budget's count, where 25,000 pass).
+_PAST_BUDGETS = [
+    ["count", "--generators", "8,9", "--method", "oracle"],
+    ["weighted", "--generators", "5,6,7", "--scheme", "coarse"],
+    ["homology", "--generators", "25001", "--dim", "0"],
+]
 
 
 @st.composite
 def _argv(draw):
+    if draw(st.integers(0, 29)) == 0:
+        return list(draw(st.sampled_from(_PAST_BUDGETS)))
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     argv = [command]
     if command == "shifted":

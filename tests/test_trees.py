@@ -8,9 +8,9 @@ from helpers import dense
 from hypothesis import assume, given, settings, strategies as st
 from reference_kernels import (
     dense_up_down_laplacian,
+    enumerate_ssts_reference,
     find_sst_reverse_delete,
     nonzero_eigenvalue_product,
-    pivot_columns_dense,
     ridge_tree_torsion_reference,
     smith_normal_form_dense,
 )
@@ -142,21 +142,6 @@ def test_enumerate_torsion_matches_dense_snf_per_tree():
         assert count.tau == 14
 
 
-def _every_tree(cx, k):
-    """Every set of rank bd_k many k-faces whose columns of bd_k are
-    independent, in colex order, each with the product of the Smith normal
-    form of bd_k at the set."""
-    kfaces = cx.faces_of_dim(k)
-    bd = dense(cx.boundary_matrix(k))
-    size = len(pivot_columns_dense(bd))
-    found = []
-    for idxs in sorted(combinations(range(len(kfaces)), size), key=lambda s: s[::-1]):
-        at_set = [[row[j] for j in idxs] for row in bd]
-        if len(pivot_columns_dense(at_set)) == size:
-            found.append((tuple(kfaces[j] for j in idxs), prod(smith_normal_form_dense(at_set))))
-    return tuple(found)
-
-
 TRIANGLES_7 = list(combinations(range(1, 8), 3))
 EDGES_7 = list(combinations(range(1, 8), 2))
 
@@ -178,7 +163,7 @@ def _apc_complexes_7(draw):
 @given(_apc_complexes_7())
 def test_oracle_lists_every_tree_of_random_complexes(cx_k):
     cx, k = cx_k
-    assert enumerate_ssts(cx, k).per_tree == _every_tree(cx, k)
+    assert enumerate_ssts(cx, k).per_tree == enumerate_ssts_reference(cx, k).per_tree
 
 
 RP2_MISSING = [F for F in combinations(range(1, 7), 3)
@@ -191,7 +176,63 @@ def test_oracle_lists_every_tree_of_relabelled_rp2_plus_a_triangle(perm, extra, 
     label = dict(zip(range(1, 7), perm))
     cx = SimplicialComplex.from_facets(
         [tuple(sorted(label[v] for v in F)) for F in (*rp2_six_vertices().faces_of_dim(2), extra)])
-    assert enumerate_ssts(cx, k).per_tree == _every_tree(cx, k)
+    assert enumerate_ssts(cx, k).per_tree == enumerate_ssts_reference(cx, k).per_tree
+
+
+def _rp2_plus_triangles(count, seed):
+    """Seeded 2-complexes on 7 vertices, APC at k = 2: the six-vertex RP^2
+    under a random labelling and one to four more random triangles. The RP^2
+    takes the oracle's paths to non-unit pivots."""
+    rng = random.Random(seed)
+    rp2 = rp2_six_vertices().faces_of_dim(2)
+    found = []
+    while len(found) < count:
+        label = dict(zip(range(1, 7), rng.sample(range(1, 8), 6)))
+        faces = sorted(tuple(sorted(label[v] for v in F)) for F in rp2)
+        extra = rng.sample([F for F in TRIANGLES_7 if F not in faces], rng.randint(1, 4))
+        cx = SimplicialComplex.from_facets(faces + extra)
+        if not any(betti(cx, j) for j in range(-1, 2)):
+            found.append(cx)
+    return found
+
+
+def test_oracle_matches_the_brute_force_reference():
+    """The oracle's tau, its trees in colex order and their torsions equal
+    enumerate_ssts_reference's, and every tree whose columns reduce by
+    unimodular operations alone (the oracle's torsion-1 shortcut) has a Smith
+    normal form of product 1.
+
+    The <=6-vertex corpus runs at every k with one case per distinct
+    k-skeleton, up to 5,000 candidate subsets: the reference takes about
+    30 us per subset, and the nine 2-skeleta past that bound hold 392,249
+    of the corpus's 421,219. The random complexes run at k = 2 only: at
+    k = 1 their 1-skeleta of 15 to 20 edges would take up to 38,760 subsets
+    each, and graphs run at k = 1 in the corpus and as K_n."""
+    corpus = {}
+    for cx in enumerate_shifted_complexes(6, 2):
+        for k in range(cx.dim + 1):
+            skeleton = tuple(sorted(F for F in cx.all_faces() if len(F) <= k + 1))
+            size = cx.f(k - 1) - boundary_rank(cx, k - 1)
+            if (not any(betti(cx, j) for j in range(-1, k))
+                    and comb(cx.f(k), size) <= 5000):
+                corpus.setdefault(skeleton, (cx, k))
+    fixtures = [rp2_six_vertices(), bipyramid(), *(complete_graph(n) for n in range(2, 7))]
+    random_7 = _rp2_plus_triangles(30, SEED)
+    cases = [*corpus.values(), *((cx, k) for cx in fixtures for k in range(cx.dim + 1)),
+             *((cx, 2) for cx in random_7)]
+    assert len(corpus) == 113
+    non_unit = set()
+    for cx, k in cases:
+        count = enumerate_ssts(cx, k)
+        assert count == enumerate_ssts_reference(cx, k)
+        supports = cx.boundary_matrix(k).supports
+        index = {F: j for j, F in enumerate(cx.faces_of_dim(k))}
+        for T, torsion in count.per_tree:
+            if ColumnReduction([supports[index[F]] for F in T]).unimodular:
+                assert torsion == 1
+            else:
+                non_unit.add(id(cx))
+    assert all(id(cx) in non_unit for cx in random_7)
 
 
 def test_enumerate_respects_cap(monkeypatch):

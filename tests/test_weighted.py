@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,18 @@ def test_symbolic_det_examples(monkeypatch):
         weighted_tau(bipyramid(), "coarse")
     monkeypatch.setattr(weighted, "DET_SIZE_CAP", 5)
     assert weighted_tau(bipyramid(), "coarse") == expected
+
+
+def test_weighted_tau_refuses_past_the_size_budget_before_building_entries(monkeypatch):
+    # the 3-skeleton of the 20-vertex simplex: 6,196 faces, inside the face
+    # budget, and a 969 x 969 reduced Laplacian
+    cx = simplex_skeleton(20, 3)
+    monkeypatch.setattr(weighted, "weighted_up_down_laplacian", None)  # never called
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match="^symbolic determinant of size 969 exceeds the size budget 12$"):
+        weighted_tau(cx, "fine")
+    assert time.perf_counter() - start < 1.0
 
 
 _DET_VARS = {"f": (("f", 1, 1), ("f", 2, 1)), "c": (("c", 1), ("c", 2)),
