@@ -17,6 +17,8 @@ or columns given by their supports; everything is exact. Algorithms:
 - determinants by fraction-free Bareiss elimination; a symmetric positive
   definite matrix (a reduced Laplacian) by the same elimination on the upper
   triangle with no row swaps, every pivot checked positive;
+- one integer Gram builder, _gram, on all rows or on a row map's rows only:
+  it builds every integer Laplacian and both Gram matrices below;
 - the product of the nonzero eigenvalues of B B^T from the column supports
   of B, with no dense product: P, the lexicographically first row basis,
   and a column basis Q come from one column reduction of B^T, and the
@@ -369,16 +371,18 @@ def transpose(columns, n_rows) -> list:
     return rows
 
 
-def _gram(vectors, at) -> list:
-    """The sum over the sparse vectors of v v^T, restricted to the indices
-    in `at` (index -> position)."""
-    G = [[0] * len(at) for _ in at]
-    for v in vectors:
-        kept = [(at[i], x) for i, x in v if i in at]
-        for a, x in kept:
-            row = G[a]
-            for b, y in kept:
-                row[b] += x * y
+def _gram(vectors, n: int, at=None, weights=None) -> list:
+    """The sum of w_h v_h v_h^T over the sparse vectors v_h (w_h = 1 without
+    weights), on all n rows or on those of the row map at (in position order)."""
+    if at is not None:
+        vectors = [[(at[i], x) for i, x in v if i in at] for v in vectors]
+        n = len(at)
+    G = [[0] * n for _ in range(n)]
+    for w, v in zip([1] * len(vectors) if weights is None else weights, vectors):
+        for a, x in v:
+            row, wx = G[a], w * x
+            for b, y in v:
+                row[b] += wx * y
     return G
 
 
@@ -403,7 +407,8 @@ def gram_pseudodeterminant(columns, n_rows) -> int:
     reduction = ColumnReduction(rows)
     at_p = {p: a for a, p in enumerate(reduction.pivots)}
     at_q = {q: a for a, q in enumerate(reduction.lows)}
-    num = definite_det(_gram(columns, at_p)) * definite_det(_gram(rows, at_q))
+    num = (definite_det(_gram(columns, n_rows, at_p))
+           * definite_det(_gram(rows, len(columns), at_q)))
     if reduction.unimodular:
         return num
     factors = ColumnReduction([[(i, x) for i, x in columns[q] if i in at_p]

@@ -7,9 +7,9 @@ Variable families:
 
 A polynomial maps monomial keys, sorted tuples of (variable, nonzero
 exponent) pairs built once, to nonzero Python ints; the ring operations
-combine keys without re-sorting them. A Fraction handed to the constructor is
-stored as an int when integral and otherwise stays exact. evaluate returns an
-exact Fraction.
+combine keys without re-sorting them. The constructor sums the exponents of a
+variable named twice in a key, and stores a Fraction as an int when integral.
+evaluate returns an exact Fraction.
 
 A chain of products runs in one packed layout (_packing): each key becomes one
 int with a fixed-width field per variable, the bounds are the factors'
@@ -178,7 +178,10 @@ class LaurentPoly:
             coeff = _exact(coeff)
             if coeff == 0:
                 continue
-            key = tuple(sorted((vid, e) for vid, e in key if e != 0))
+            exps = {}
+            for vid, e in key:
+                exps[vid] = exps.get(vid, 0) + e
+            key = tuple(sorted((vid, e) for vid, e in exps.items() if e))
             norm[key] = norm.get(key, 0) + coeff
         self.terms = {k: _exact(c) for k, c in norm.items() if c != 0}
         kinds = {vid[0] for key in self.terms for vid, _ in key}
@@ -227,7 +230,8 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as its coefficient, as == compares it with one
+        return hash(frozenset(self.terms.items()) if any(self.terms) else self.terms.get((), 0))
 
     def __repr__(self):
         return f"LaurentPoly({canonical_string(self)})"

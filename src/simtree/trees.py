@@ -7,8 +7,8 @@ codimension-1 homology, and the forced facet count; any two of the three
 conditions imply the third ("two out of three"). All counts here are exact:
 tau_k weights each tree by the squared order of its codimension-1 torsion.
 
-Every Laplacian in simtree is a LaplacianFactors D^-1 B W B^T D^-1, read as
-an integer matrix at a point or as Laurent polynomials.
+Every Laplacian is built from bd_k's supports at the rows it keeps: as integers
+by exactlinalg._gram, or as Laurent polynomials by LaplacianFactors.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import DomainError, ExactnessError, InputError, ResourceLimitError,
 from .exactlinalg import (
     ColumnReduction,
     HomologySummary,
+    _gram,
     betti,
     boundary_pivots,
     boundary_rank,
@@ -78,45 +79,40 @@ class LaplacianFactors:
     row_keys: tuple
     col_keys: tuple
 
-    def at_point(self, point) -> tuple:
-        """(M, scale) at a point of int or Fraction values: the integer matrix
-        M = lam B W B^T, lam the lcm of the weights' denominators, and the
-        exact scale[r] = lam D_r^2. So det(L_S) = det(M_S) / prod(scale on S)."""
+    def at_point(self, point, at=None) -> tuple:
+        """(M, scale) at a point of int or Fraction values, on all rows or on a
+        row map's: M = lam B W B^T, lam the lcm of the weights' denominators,
+        and scale[r] = lam D_r^2 exactly. So det(L_S) = det(M_S) / prod(scale on S)."""
+        rows = self.row_keys if at is None else [self.row_keys[r] for r in at]
         w, d = ([_key_value(k, point) for k in keys] if any(keys) else [1] * len(keys)
-                for keys in (self.col_keys, self.row_keys))
+                for keys in (self.col_keys, rows))
         lam = lcm(*(x.denominator for x in w if type(x) is not int))
         if lam > 1:
             w = [(x * lam).numerator for x in w]
-        M = [[0] * len(d) for _ in d]
-        for wh, col in zip(w, self.boundary.supports):
-            for r, s in col:
-                Mr, ws = M[r], wh * s
-                for c, t in col:
-                    Mr[c] += ws * t
-        return M, [lam * x * x for x in d]
+        return _gram(self.boundary.supports, len(self.row_keys), at, w), [lam * x * x for x in d]
 
-    def _terms(self) -> list:
-        """Per entry, {key of W_h / (D_r D_c): sum of B[r,h] B[c,h]}. No two
-        terms cancel: off the diagonal an entry has one, on it signs are +1."""
+    def symbolic_entries(self, at=None) -> tuple:
+        """The entries of L as Laurent polynomials, row-major, on all rows or
+        on those of the row map at. No two terms B[r,h] B[c,h] W_h / (D_r D_c)
+        cancel: off the diagonal an entry has one, on it signs are +1."""
         x = self.row_keys
-        terms = [[{} for _ in x] for _ in x]
+        kind = next((key[0][0][0] for key in (*self.col_keys, *x) if key), None)
+        at = range(len(x)) if at is None else at  # a range is the identity row map
+        terms = [[{} for _ in at] for _ in at]
         for W, col in zip(self.col_keys, self.boundary.supports):
-            for r, s in col:
-                for c, t in col:
-                    key = key_quotient(W, x[r], x[c]) if x[r] or x[c] else W
-                    terms[r][c][key] = terms[r][c].get(key, 0) + s * t
-        return terms
-
-    def symbolic_entries(self) -> tuple:
-        """The entries of L as Laurent polynomials, row-major."""
-        kind = next((key[0][0][0] for key in (*self.col_keys, *self.row_keys) if key), None)
-        return tuple(tuple(_poly(e, kind) for e in row) for row in self._terms())
+            col = [(at[r], s, x[r]) for r, s in col if r in at]
+            for a, s, xr in col:
+                row = terms[a]
+                for b, t, xc in col:
+                    key = key_quotient(W, xr, xc) if xr or xc else W
+                    row[b][key] = row[b].get(key, 0) + s * t
+        return tuple(tuple(_poly(e, kind) for e in row) for row in terms)
 
     def variables(self) -> list:
         """The variables of the entries of L: those with a nonzero exponent in
-        some diagonal term W_h / D_r^2, since no two terms cancel (see
-        _terms). A variable that cancels from W_h / D_r^2 for every row r of
-        h has W_h's exponent twice D_r's, so it cancels from W_h / (D_r D_c)."""
+        some diagonal term W_h / D_r^2, as no two terms cancel. A variable
+        that cancels from W_h / D_r^2 for every row r of h has W_h's exponent
+        twice D_r's, so it cancels from W_h / (D_r D_c)."""
         x = self.row_keys
         found = set()
         for W, col in zip(self.col_keys, self.boundary.supports):
@@ -129,16 +125,15 @@ class LaplacianFactors:
 
 
 def up_down_laplacian(cx: SimplicialComplex, k: int):
-    """L = bd_k bd_k^T acting on C_{k-1} (an f_{k-1} x f_{k-1} integer matrix):
-    the integer reader of the factors with every key ()."""
+    """L = bd_k bd_k^T on C_{k-1}: the f_{k-1} x f_{k-1} Gram matrix of bd_k's supports."""
     bd = cx.boundary_matrix(k)
-    return LaplacianFactors(bd, ((),) * bd.n_rows, ((),) * bd.n_cols).at_point({})[0]
+    return _gram(bd.supports, bd.n_rows)
 
 
-def kept_indices(labels, drop) -> list:
-    """The indices of the labels (faces) that are not in drop."""
+def kept_rows(labels, drop) -> dict:
+    """The row map of the labels (faces) not in drop: row -> position."""
     drop = {tuple(F) for F in drop}
-    return [i for i, F in enumerate(labels) if F not in drop]
+    return {r: a for a, r in enumerate(r for r, F in enumerate(labels) if F not in drop)}
 
 
 def star_ridges(cx: SimplicialComplex, k: int, p: int) -> tuple:
@@ -273,11 +268,10 @@ def find_sst(cx: SimplicialComplex, k: int) -> tuple:
 
 
 def reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree) -> list:
-    """Delete the rows/columns of L^ud_{k-1} indexed by the ridge tree."""
+    """L^ud_{k-1} built at the rows that the ridge tree does not index."""
     _check_tree_dimension(cx, k)
-    keep = kept_indices(cx.faces_of_dim(k - 1), ridge_tree)
-    L = up_down_laplacian(cx, k)
-    return [[L[i][j] for j in keep] for i in keep]
+    bd = cx.boundary_matrix(k)
+    return _gram(bd.supports, bd.n_rows, kept_rows(bd.rows, ridge_tree))
 
 
 def ridge_tree_reduction(cx: SimplicialComplex, k: int, ridge_tree=None) -> tuple:

@@ -7,10 +7,11 @@ Three weighting schemes attach a monomial to each top-dimensional facet F:
   fine    X_F = prod over positions m of X[m, F_m].
 
 The weighted up-down Laplacian, the sum over facets of X_F bd(F) bd(F)^T, is
-a trees.LaplacianFactors with the key of X_F per column and () per row:
-weighted_tau reads it symbolically, weighted_tau_at_points as one integer
-matrix per point. The symbolic determinant expands by columns in one packed
-Laurent layout, with every minor memoised as a packed dict.
+a trees.LaplacianFactors with the key of X_F per column and () per row. Both
+enumerators read it at the rows that the ridge tree keeps: weighted_tau as
+Laurent entries, weighted_tau_at_points as one integer matrix per point. The
+symbolic determinant expands by columns in one packed Laurent layout, with
+every minor memoised as a packed dict.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import bareiss_det
 from .laurent import LaurentPoly, _packing, _poly, monomial_for_face, product_sum, x_facet
-from .trees import LaplacianFactors, enumerate_ssts, kept_indices, ridge_tree_reduction
+from .trees import LaplacianFactors, enumerate_ssts, kept_rows, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")
 DET_SIZE_CAP = 12  # the size budget: symbolic_det refuses larger matrices
@@ -44,14 +45,6 @@ class SymbolicMatrix:
     @property
     def n_cols(self):
         return len(self.cols)
-
-    def delete_labels(self, labels) -> "SymbolicMatrix":
-        ri = kept_indices(self.rows, labels)
-        ci = kept_indices(self.cols, labels)
-        return SymbolicMatrix(
-            rows=tuple(self.rows[i] for i in ri),
-            cols=tuple(self.cols[j] for j in ci),
-            entries=tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
 
 def facet_weight(F, scheme: str) -> LaurentPoly:
@@ -141,7 +134,10 @@ def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None) -> Laurent
     before any entry of the Laplacian is built."""
     U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
     _require_det_size(cx.f(cx.dim - 1) - len(U))  # the size of the reduced Laplacian
-    LU = weighted_up_down_laplacian(cx, scheme).delete_labels(U)
+    fac = weighted_laplacian_factors(cx, scheme)
+    at = kept_rows(fac.boundary.rows, U)
+    rows = tuple(fac.boundary.rows[r] for r in at)
+    LU = SymbolicMatrix(rows, rows, fac.symbolic_entries(at))
     result = symbolic_det(LU) * correction.numerator
     result = result.div_exact(correction.denominator)  # ExactnessError on a remainder
     _require(result.has_nonnegative_integer_coeffs(),
@@ -156,10 +152,9 @@ def weighted_tau_at_points(cx: SimplicialComplex, scheme: str, assignments,
     determinant of the reduced weighted Laplacian per point."""
     U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
     fac = weighted_laplacian_factors(cx, scheme)
-    keep = kept_indices(fac.boundary.rows, U)
-    return [Fraction(bareiss_det([[M[i][j] for j in keep] for i in keep]),
-                     prod(scale[i] for i in keep)) * correction
-            for M, scale in map(fac.at_point, assignments)]
+    at = kept_rows(fac.boundary.rows, U)
+    return [Fraction(bareiss_det(M), prod(scale)) * correction
+            for M, scale in (fac.at_point(point, at) for point in assignments)]
 
 
 def weighted_oracle(cx: SimplicialComplex, scheme: str) -> LaurentPoly:

@@ -14,7 +14,7 @@ from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
 from simtree.exactlinalg import bareiss_det, definite_det, fraction_det, homology
 from simtree.laurent import FINE, LaurentPoly, monomial_for_face, x_facet
-from simtree.trees import TreeCount, is_sst, ridge_tree_reduction
+from simtree.trees import TreeCount, is_sst, kept_rows, ridge_tree_reduction
 from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
 
 
@@ -33,11 +33,20 @@ def substitute(M: SymbolicMatrix, assignment) -> list:
             for row in M.entries]
 
 
+def delete_labels(M: SymbolicMatrix, labels) -> SymbolicMatrix:
+    """M without the rows and columns whose labels are in labels: the full
+    matrix sliced, as the library never builds it."""
+    ri = list(kept_rows(M.rows, labels))
+    ci = list(kept_rows(M.cols, labels))
+    return SymbolicMatrix(rows=tuple(M.rows[i] for i in ri), cols=tuple(M.cols[j] for j in ci),
+                          entries=tuple(tuple(M.entries[i][j] for j in ci) for i in ri))
+
+
 def weighted_tau_at_points_reference(cx, scheme: str, assignments, ridge_tree=None) -> list:
-    """tau-hat at each assignment by the symbolic reduced Laplacian, substituted
-    entry by entry, and a determinant over Q."""
+    """tau-hat at each assignment by the full symbolic Laplacian with U's rows
+    and columns deleted, substituted entry by entry, and a determinant over Q."""
     U, correction = ridge_tree_reduction(cx, cx.dim, ridge_tree)
-    LU = weighted_up_down_laplacian(cx, scheme).delete_labels(U)
+    LU = delete_labels(weighted_up_down_laplacian(cx, scheme), U)
     return [fraction_det(substitute(LU, a)) * correction for a in assignments]
 
 

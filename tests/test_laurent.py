@@ -243,6 +243,31 @@ def test_integral_fractions_are_stored_as_ints():
     assert canonical_string(LaurentPoly.constant(Fraction(3, 2))) == "3/2"
 
 
+
+def test_a_constant_hashes_as_its_coefficient():
+    # == compares a constant with its coefficient, so a set or a dict finds
+    # either one by the other; zero hashes as 0
+    for q in (3, Fraction(3, 7), 0):
+        p = LaurentPoly.constant(q)
+        assert p == q and hash(p) == hash(q)
+        assert {q: "a"}.get(p) == "a" and {p: "a"}.get(q) == "a"
+        assert p in {q} and q in {p} and len({p, q}) == 1
+    assert hash(LaurentPoly.zero()) == 0 and LaurentPoly.zero() in {0}
+    assert X_coarse(1) not in {1} and {X_coarse(1): "a"}.get(X_coarse(1)) == "a"
+
+
+def test_the_constructor_sums_the_exponents_of_a_repeated_variable():
+    c1, c2 = ("c", 1), ("c", 2)
+    doubled = LaurentPoly({((c1, 1), (c1, 1)): 1})
+    assert doubled == LaurentPoly.monomial({c1: 2}) and doubled.terms == {((c1, 2),): 1}
+    assert canonical_string(doubled) == "X[1]"
+    cancelled = LaurentPoly({((c1, 1), (c1, -1)): 1})
+    assert cancelled == 1 and cancelled.terms == {(): 1} and cancelled.kind is None
+    # two keys that name the same monomial add their coefficients
+    p = LaurentPoly({((c1, 1), (c2, 1), (c1, 1)): 2, ((c1, 2), (c2, 1)): 3})
+    assert p == LaurentPoly.monomial({c1: 2, c2: 1}, 5)
+
+
 # -- differential test against the Fraction arithmetic ---------------------
 
 _POOL = {"f": [("f", i, j) for i in (1, 2, 3) for j in (1, 2, 3)],

@@ -8,6 +8,7 @@ from helpers import cone, is_pure
 from reference_kernels import (
     algebraic_fine_boundary,
     algebraic_fine_laplacian,
+    delete_labels,
     expand_z_reference,
     poly_pow,
     raise_op,
@@ -592,7 +593,7 @@ def test_n_matrix_identity():
 
     B = bipyramid()
     U = star_ridges(B, 1, 1)
-    LU = weighted_up_down_laplacian(B, "fine").delete_labels(U)
+    LU = delete_labels(weighted_up_down_laplacian(B, "fine"), U)
     divisors = [raise_op(monomial_for_face(F, "fine", squared=False), 1, B.dim)
                 for F in LU.rows]
     N = scale_row_col(LU, divisors, divisors)

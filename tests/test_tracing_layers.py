@@ -9,6 +9,7 @@ import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
+from reference_kernels import delete_labels
 from simtree.fixtures import bipyramid
 from simtree.laurent import X_coarse
 from simtree.trees import star_ridges
@@ -23,8 +24,9 @@ COUNTED_CALLS = {
     "trees.up_down_laplacian": lambda: (bipyramid(), 2),
     "trees.enumerate_ssts": lambda: (bipyramid(), 2),
     "laurent.mul": lambda: (X_coarse(1) + X_coarse(2), X_coarse(3) + X_coarse(1)),
-    "weighted.symbolic_det": lambda: (weighted_up_down_laplacian(bipyramid(), "coarse")
-                                      .delete_labels(star_ridges(bipyramid(), 1, 1)),),
+    "weighted.symbolic_det": lambda: (
+        delete_labels(weighted_up_down_laplacian(bipyramid(), "coarse"),
+                      star_ridges(bipyramid(), 1, 1)),),
 }
 
 

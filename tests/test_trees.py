@@ -21,6 +21,7 @@ from simtree.corpus import enumerate_shifted_complexes, random_apc_2_complexes
 from simtree.errors import DomainError, ExactnessError, InputError, ResourceLimitError
 from simtree.exactlinalg import (
     ColumnReduction,
+    _gram,
     bareiss_det,
     betti,
     boundary_rank,
@@ -48,6 +49,7 @@ from simtree.trees import (
     enumerate_ssts,
     find_sst,
     is_sst,
+    kept_rows,
     pi,
     reduced_laplacian,
     ridge_tree_reduction,
@@ -56,7 +58,8 @@ from simtree.trees import (
     tau_via_reduced_laplacian,
     up_down_laplacian,
 )
-from simtree.weighted import weighted_tau
+from simtree.shifted import fine_laplacian_factors
+from simtree.weighted import SCHEMES, weighted_laplacian_factors, weighted_tau
 
 SEED = 20080814
 
@@ -578,3 +581,60 @@ def test_integer_reader_evaluates_keys_as_laurent_monomials():
         assert scale == [lam * d * d] * 3
     with pytest.raises(ExactnessError, match="division by zero"):
         fac.at_point({("c", 1): 0, ("c", 2): 1})
+
+
+def _sliced(M, at):
+    return [[M[r][c] for c in at] for r in at]
+
+
+def _points(fac, rng):
+    """An int point and a Fraction point on the variables of the factors' keys."""
+    variables = sorted({vid for key in fac.row_keys + fac.col_keys for vid, _ in key})
+    return ({v: rng.randint(1, 10_000) for v in variables},
+            {v: Fraction(rng.randint(1, 99) * rng.choice((1, -1)), rng.randint(1, 99))
+             for v in variables})
+
+
+def test_row_restricted_readers_equal_the_full_matrix_sliced():
+    # every reader given the row map of kept_rows builds what the full reader
+    # builds at those rows: the integer Laplacian, at_point's M and scale at
+    # int and Fraction points, and the Laurent entries
+    fixtures = [bipyramid(), tetrahedron_boundary(), rp2_six_vertices(), two_disjoint_edges(),
+                complete_graph(5), complete_bipartite(2, 3)]
+    skeletons = [simplex_skeleton(n, d) for n in range(1, 7) for d in range(min(n, 4))]
+    rng = random.Random(SEED)
+    cases = 0
+    for cx in (*enumerate_shifted_complexes(6, 2), *fixtures, *skeletons):
+        for k in range(cx.dim + 1):
+            rows = cx.boundary_matrix(k).rows
+            drop = [F for F in rows if rng.random() < 0.4]
+            at = kept_rows(rows, drop)
+            assert list(at) == [r for r, F in enumerate(rows) if F not in drop]
+            assert list(at.values()) == list(range(len(at)))
+            assert reduced_laplacian(cx, k, drop) == _sliced(up_down_laplacian(cx, k), at)
+            factors = [fine_laplacian_factors(cx, k - 1)]
+            if k == cx.dim:
+                factors += [weighted_laplacian_factors(cx, scheme) for scheme in SCHEMES]
+            for fac in factors:
+                for point in _points(fac, rng):
+                    M, scale = fac.at_point(point)
+                    assert fac.at_point(point, at) == (_sliced(M, at), [scale[r] for r in at])
+                entries = fac.symbolic_entries()
+                assert fac.symbolic_entries(at) == tuple(map(tuple, _sliced(entries, at)))
+            cases += 1
+    assert cases == 1312  # 1257 (complex, k) pairs of the corpus among them
+
+
+def test_an_empty_row_map_reads_an_empty_matrix():
+    # {} keeps no row: every reader returns 0 x 0, never the full matrix
+    rng = random.Random(SEED)
+    for cx in (bipyramid(), rp2_six_vertices(), simplex_skeleton(5, 2)):
+        bd = cx.boundary_matrix(cx.dim)
+        assert kept_rows(bd.rows, bd.rows) == {}
+        assert reduced_laplacian(cx, cx.dim, bd.rows) == []
+        assert _gram(bd.supports, bd.n_rows, {}) == []
+        assert len(_gram(bd.supports, bd.n_rows)) == bd.n_rows > 0
+        for fac in (weighted_laplacian_factors(cx, "fine"), fine_laplacian_factors(cx, cx.dim - 1)):
+            for point in _points(fac, rng):
+                assert fac.at_point(point, {}) == ([], [])
+            assert fac.symbolic_entries({}) == ()

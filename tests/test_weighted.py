@@ -43,7 +43,13 @@ from simtree.shifted import (
     shifted_tau_fine,
     threshold_tau,
 )
-from simtree.trees import enumerate_ssts, find_sst, star_ridges, tau_via_reduced_laplacian
+from simtree.trees import (
+    LaplacianFactors,
+    enumerate_ssts,
+    find_sst,
+    star_ridges,
+    tau_via_reduced_laplacian,
+)
 from simtree import weighted
 from simtree.weighted import (
     SCHEMES,
@@ -229,12 +235,26 @@ def test_weighted_tau_refuses_past_the_size_budget_before_building_entries(monke
     # the 3-skeleton of the 20-vertex simplex: 6,196 faces, inside the face
     # budget, and a 969 x 969 reduced Laplacian
     cx = simplex_skeleton(20, 3)
-    monkeypatch.setattr(weighted, "weighted_up_down_laplacian", None)  # never called
+
+    def build_entries(*args):
+        raise AssertionError("a Laplacian entry was built")
+
+    monkeypatch.setattr(LaplacianFactors, "symbolic_entries", build_entries)
+    with pytest.raises(AssertionError, match="entry was built"):  # inside the budget
+        weighted_tau(bipyramid(), "fine")
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError,
                        match="^symbolic determinant of size 969 exceeds the size budget 12$"):
         weighted_tau(cx, "fine")
     assert time.perf_counter() - start < 1.0
+
+
+def test_weighted_tau_builds_no_full_weighted_laplacian(monkeypatch):
+    # weighted_tau reads the factors at the kept rows, never the full L-hat
+    monkeypatch.setattr(weighted, "weighted_up_down_laplacian", None)
+    for cx in (bipyramid(), *random_apc_2_complexes(3)):
+        for scheme in SCHEMES:
+            assert weighted_tau(cx, scheme) == weighted_oracle(cx, scheme)
 
 
 _DET_VARS = {"f": (("f", 1, 1), ("f", 2, 1)), "c": (("c", 1), ("c", 2)),
