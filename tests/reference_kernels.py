@@ -14,7 +14,7 @@ from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
 from simtree.exactlinalg import bareiss_det, definite_det, fraction_det, homology
 from simtree.laurent import FINE, LaurentPoly, monomial_for_face, x_facet
-from simtree.trees import TreeCount, is_sst, kept_rows, ridge_tree_reduction
+from simtree.trees import TreeCount, is_sst, ridge_tree_reduction
 from simtree.weighted import SCHEMES, SymbolicMatrix, weighted_up_down_laplacian
 
 
@@ -36,8 +36,9 @@ def substitute(M: SymbolicMatrix, assignment) -> list:
 def delete_labels(M: SymbolicMatrix, labels) -> SymbolicMatrix:
     """M without the rows and columns whose labels are in labels: the full
     matrix sliced, as the library never builds it."""
-    ri = list(kept_rows(M.rows, labels))
-    ci = list(kept_rows(M.cols, labels))
+    drop = {tuple(F) for F in labels}
+    ri = [i for i, F in enumerate(M.rows) if F not in drop]
+    ci = [j for j, F in enumerate(M.cols) if F not in drop]
     return SymbolicMatrix(rows=tuple(M.rows[i] for i in ri), cols=tuple(M.cols[j] for j in ci),
                           entries=tuple(tuple(M.entries[i][j] for j in ci) for i in ri))
 
