@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .complexes import face, face_label, load_complex, shifted_from_generators
+from .complexes import complex_from_json_dict, face, face_label, shifted_from_generators
 from .corpus import DEFAULT_SEED
 from .errors import DomainError, InputError, ResourceLimitError
 from .exactlinalg import homology
@@ -28,7 +28,7 @@ from .shifted import (
     threshold_tau,
 )
 from .trees import enumerate_ssts, tau_via_alternating_product, tau_via_reduced_laplacian
-from .weighted import weighted_tau
+from .weighted import SCHEMES, weighted_tau
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,9 +40,20 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def _read_json(path, what: str):
+    """The JSON value in a file. InputError when it cannot be read or parsed,
+    also for invalid UTF-8, an integer past the int-to-str digit limit and
+    nesting past the recursion limit."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
+
+
 def _load_any_complex(args):
     if getattr(args, "complex", None):
-        return load_complex(args.complex)
+        return complex_from_json_dict(_read_json(args.complex, "complex"))
     if getattr(args, "generators", None):
         gens = [face(_int_list(chunk)) for chunk in args.generators.split(";")]
         return shifted_from_generators(gens, args.min_vertex)
@@ -94,17 +105,17 @@ def _load_spectra(path) -> dict:
     """The spectra of a spectrum file: an object whose "spectra" maps each
     dimension (a decimal string) to a list of {"S": int list, "T": nonempty
     int list}, as `sst shifted spectrum --json` writes it."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read spectra from {path}: {exc}") from exc
+    data = _read_json(path, "spectra")
     raw = data.get("spectra") if isinstance(data, dict) else None
-    if not isinstance(raw, dict) or not all(
+    try:  # int(i) of a key past the int-to-str digit limit raises ValueError
+        ok = isinstance(raw, dict) and all(
             i.isdecimal() and str(int(i)) == i and isinstance(entries, list)
             and all(isinstance(e, dict) and _is_int_list(e.get("S"))
                     and _is_int_list(e.get("T")) and e["T"] for e in entries)
-            for i, entries in raw.items()):
+            for i, entries in raw.items())
+    except ValueError:
+        ok = False
+    if not ok:
         raise InputError(f"{path}: \"spectra\" must map each dimension to a list of "
                          "{\"S\": integer list, \"T\": nonempty integer list}")
     dim = max(map(int, raw), default=0)
@@ -203,7 +214,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("weighted", help="weighted enumerator tau-hat_d")
     add_complex_args(p)
-    p.add_argument("--scheme", choices=("fine", "coarse", "facet"), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_weighted)
 

@@ -15,7 +15,6 @@ and its shifted spectra, one per dimension.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError, _require
@@ -313,7 +312,8 @@ def shifted_ideal_faces(generators, p: int) -> set:
                 built += 1 << len(F)
                 if built > FACE_CAP:
                     raise ResourceLimitError(
-                        f"the shifted complex would build more than {FACE_CAP} faces")
+                        f"the shifted complex would build more than {FACE_CAP} faces "
+                        "(the face budget)")
     return faces
 
 
@@ -330,7 +330,7 @@ def _shifted_complex(gens, p: int) -> SimplicialComplex:
             raise InputError(f"generator {G} has a vertex below the minimal vertex {p}")
     faces = shifted_ideal_faces(gens, p)
     cx = SimplicialComplex._closure(faces) if faces else SimplicialComplex.empty()
-    _require(is_shifted(cx), "generated complex must be shifted")
+    _require(cx.memo("shifted", lambda: is_shifted(cx)), "generated complex must be shifted")
     return cx
 
 
@@ -367,11 +367,3 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
         return _shifted_complex(_json_faces(data, "shifted_generators"), p)
     raise InputError("complex JSON needs a 'facets' or 'shifted_generators' key")
 
-
-def load_complex(path: str) -> SimplicialComplex:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read complex from {path}: {exc}") from exc
-    return complex_from_json_dict(data)

@@ -62,14 +62,13 @@ def enumerate_shifted_complexes(max_vertices: int = 6, max_dim: int = 2) -> tupl
     return tuple(out)
 
 
-def random_apc_2_complexes(count: int = 100, seed: int = DEFAULT_SEED,
-                           max_attempts: int = 200_000) -> tuple:
+def random_apc_2_complexes(count: int = 100, seed: int = DEFAULT_SEED) -> tuple:
     """Seeded random APC 2-complexes on <= 6 vertices with 10..13 triangles
-    (kept small enough for the brute-force oracle)."""
+    (kept small enough for the brute-force oracle), in at most 200,000 draws."""
     rng = random.Random(seed)
     triangles = list(itertools.combinations(range(1, 7), 3))
     out = []
-    for _ in range(max_attempts):
+    for _ in range(200_000):
         if len(out) == count:
             break
         tris = rng.sample(triangles, rng.randint(10, 13))
@@ -80,17 +79,16 @@ def random_apc_2_complexes(count: int = 100, seed: int = DEFAULT_SEED,
     return tuple(out)
 
 
-def find_coarse_hearing_witness(max_vertices: int = 7,
-                                extended_max: int | None = 9) -> dict:
+def find_coarse_hearing_witness(max_vertices: int = 7, extended_max: int = 9) -> dict:
     """Search for two non-isomorphic pure shifted 2-complexes with equal
     facet-degree sequences (hence equal coarse top spectra) but different fine
     spectra.
 
     The primary range is [3, max_vertices]; if nothing is found there the
-    search optionally continues up to extended_max (the smallest witnesses
-    live on 9 vertices). The report records how far each range got.
+    search continues up to extended_max (the smallest witnesses live on 9
+    vertices). The report records how far each range got.
     """
-    limit = max(max_vertices, extended_max or 0)
+    limit = max(max_vertices, extended_max)
     for q in range(3, limit + 1):
         groups = {}
         for ideal in componentwise_ideals(q, 3):

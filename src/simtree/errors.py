@@ -17,7 +17,8 @@ class ResourceLimitError(Exception):
     """A budget was exceeded: the oracle's subset count (trees.SUBSET_CAP),
     the symbolic-determinant size (weighted.DET_SIZE_CAP), the face budget
     (complexes.FACE_CAP), the Laurent product budget (laurent.PRODUCT_PAIR_CAP)
-    or a 64-bit exponent range."""
+    or a 64-bit exponent range. Each message names its budget; the oracle's
+    gives its count as comb(f_k, size), whose value can pass str()'s limit."""
 
 
 class ExactnessError(ArithmeticError):

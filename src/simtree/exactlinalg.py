@@ -481,18 +481,12 @@ def boundary_rank(cx: SimplicialComplex, k: int) -> int:
 
 
 def homology(cx: SimplicialComplex, i: int) -> HomologySummary:
-    """Reduced integral homology H~_i as Betti number + torsion order."""
+    """Reduced integral homology H~_i as Betti number + torsion order, the
+    product of bd_{i+1}'s invariant factors."""
     if i < -1 or i > cx.dim:
         raise InputError(f"homology dimension {i} out of range [-1, {cx.dim}]")
-    ker_dim = cx.f(i) - boundary_rank(cx, i)
-    if i + 1 > cx.dim:
-        rank_next = 0
-        torsion = 1
-    else:
-        factors = boundary_reduction(cx, i + 1).invariant_factors()
-        rank_next = len(factors)
-        torsion = prod(factors)
-    return HomologySummary(dimension=i, betti=ker_dim - rank_next, torsion_order=torsion)
+    factors = boundary_reduction(cx, i + 1).invariant_factors() if i < cx.dim else ()
+    return HomologySummary(dimension=i, betti=betti(cx, i), torsion_order=prod(factors))
 
 
 def betti(cx: SimplicialComplex, i: int) -> int:

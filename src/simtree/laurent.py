@@ -386,20 +386,23 @@ def x_facet(F, exp: int = 1) -> LaurentPoly:
 
 
 def monomial_for_face(F, weighting: str = "fine", squared: bool = True) -> LaurentPoly:
-    """x_F (or X_F) for a vertex multiset F, in any order.
+    """x_F (or X_F) for a vertex multiset F under a weighting scheme
+    (weighted.SCHEMES); InputError for any other scheme.
 
-    fine:   prod_m x[m, F_m] over positions m = 1..|F|;
-    coarse: prod_v x[v].
+    fine:   prod_m x[m, F_m] over positions m = 1..|F|, F in any order;
+    coarse: prod_v x[v], F in any order;
+    facet:  the facet variable x{F} of the face F, in its given order.
     """
     step = 2 if squared else 1
     if weighting == "fine":
         return _poly({fine_face_key(F, 0, step): 1}, FINE)
+    if weighting == "facet":
+        return x_facet(F, step)
+    if weighting != "coarse":
+        raise InputError(f"unknown weighting scheme {weighting!r}")
     exps = {}
-    if weighting == "coarse":
-        for j in F:
-            exps[(COARSE, j)] = exps.get((COARSE, j), 0) + step
-    else:
-        raise InputError(f"unknown weighting {weighting!r}")
+    for j in F:
+        exps[(COARSE, j)] = exps.get((COARSE, j), 0) + step
     return LaurentPoly.monomial(exps)
 
 

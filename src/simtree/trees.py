@@ -209,7 +209,7 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, include_trees: bool = True) ->
     n_cols = len(kfaces)
     size = cx.f(k - 1) - boundary_rank(cx, k - 1)  # at least 1: bd_k of a k-face is nonzero
     if comb(n_cols, size) > SUBSET_CAP:
-        raise ResourceLimitError(f"{comb(n_cols, size)} candidate subsets exceed the "
+        raise ResourceLimitError(f"comb({n_cols}, {size}) candidate subsets exceed the "
                                  f"oracle's budget {SUBSET_CAP}")
     supports = cx.boundary_matrix(k).supports
     units, others = {}, {}  # the path's pivots, as in ColumnReduction

@@ -345,9 +345,8 @@ def check_12_threshold_ferrers(seed=DEFAULT_SEED, threshold_max=7, **_) -> Check
         graphs += 1
         if not threshold_tau(g) == shifted_tau_fine(g) == weighted_oracle(g, "fine"):
             failures += 1
-    partitions = [lam for parts in range(1, 5)
-                  for lam in itertools.combinations_with_replacement(range(4, 0, -1), parts)
-                  if all(a >= b for a, b in zip(lam, lam[1:]))]
+    partitions = [lam for parts in range(1, 5)  # weakly decreasing, as drawn from 4..1
+                  for lam in itertools.combinations_with_replacement(range(4, 0, -1), parts)]
     fcases = 0
     for lam in partitions:
         fcases += 1
@@ -441,11 +440,10 @@ def check_13_property_suites(seed=DEFAULT_SEED, max_vertices=6, **_) -> CheckRes
             fam = cx.faces_of_dim(i)
             if fam:
                 cps = critical_pairs(fam, p)
-                degs = {v: sum(1 for F in fam if v in F) for v in cx.vertices}
-                degs[cx.vertices[-1] + 1] = 0
-                for v in cx.vertices:
+                degs = cx.degree_sequence(i) + (0,)
+                for v, deg, deg_next in zip(cx.vertices, degs, degs[1:]):
                     have = sum(1 for cp in cps if cp.signature[-1] == v)
-                    if degs[v] - degs[v + 1] != have:
+                    if deg - deg_next != have:
                         deg_sig_ok = False
             count = sum(1 for F in fam
                         if p not in F and tuple(sorted(F + (p,))) not in cx)
@@ -478,18 +476,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_acceptance(seed=DEFAULT_SEED, max_vertices=6, n_subs=20, oracle_count=100,
-                   threshold_max=7, quick=False):
-    """Run every acceptance criterion; `quick` shrinks the sweeps (for smoke
-    tests only, the accepted configuration is the default). Below one vertex,
-    criteria 8, 10 and 11 would check nothing, so that bound is refused."""
+def run_acceptance(seed=DEFAULT_SEED, max_vertices=6, quick=False):
+    """Run every acceptance criterion at the accepted scale, its defaults;
+    `quick` shrinks the sweeps for smoke tests. Below one vertex, criteria 8,
+    10 and 11 would check nothing, so that bound is refused."""
     if max_vertices < 1:
         raise InputError(f"max_vertices must be at least 1, got {max_vertices}")
+    kwargs = dict(seed=seed, max_vertices=max_vertices)
     if quick:
-        max_vertices = min(max_vertices, 5)
-        n_subs = min(n_subs, 3)
-        oracle_count = min(oracle_count, 10)
-        threshold_max = min(threshold_max, 6)
-    kwargs = dict(seed=seed, max_vertices=max_vertices, n_subs=n_subs,
-                  oracle_count=oracle_count, threshold_max=threshold_max)
+        kwargs.update(max_vertices=min(max_vertices, 5), n_subs=3, oracle_count=10,
+                      threshold_max=6)
     return [check(**kwargs) for check in ALL_CHECKS]

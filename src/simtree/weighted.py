@@ -23,10 +23,10 @@ from math import prod
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import bareiss_det
-from .laurent import LaurentPoly, _packing, _poly, monomial_for_face, product_sum, x_facet
+from .laurent import LaurentPoly, _packing, _poly, monomial_for_face, product_sum
 from .trees import LaplacianFactors, enumerate_ssts, kept_rows, ridge_tree_reduction
 
-SCHEMES = ("fine", "coarse", "facet")
+SCHEMES = ("fine", "coarse", "facet")  # the weightings of laurent.monomial_for_face
 DET_SIZE_CAP = 12  # the size budget: symbolic_det refuses larger matrices
 
 
@@ -47,20 +47,10 @@ class SymbolicMatrix:
         return len(self.cols)
 
 
-def facet_weight(F, scheme: str) -> LaurentPoly:
-    """The squared weight X_F attached to facet F under the given scheme."""
-    F = tuple(F)
-    if scheme == "facet":
-        return x_facet(F, 2)
-    if scheme in ("coarse", "fine"):
-        return monomial_for_face(F, scheme, squared=True)
-    raise InputError(f"unknown weighting scheme {scheme!r}")
-
-
 def weighted_laplacian_factors(cx: SimplicialComplex, scheme: str) -> LaplacianFactors:
     """The factors of L-hat: bd_d with the key of X_F for each facet F."""
     bd = cx.boundary_matrix(cx.dim)
-    keys = tuple(next(iter(facet_weight(F, scheme).terms)) for F in bd.cols)
+    keys = tuple(next(iter(monomial_for_face(F, scheme).terms)) for F in bd.cols)
     return LaplacianFactors(bd, ((),) * bd.n_rows, keys)
 
 
@@ -164,4 +154,4 @@ def weighted_oracle(cx: SimplicialComplex, scheme: str) -> LaurentPoly:
     facets = cx.faces_of_dim(d)
     index = {F: i for i, F in enumerate(facets)}
     rows = [([index[F] for F in T], torsion * torsion) for T, torsion in count.per_tree]
-    return product_sum([facet_weight(F, scheme) for F in facets], rows)
+    return product_sum([monomial_for_face(F, scheme) for F in facets], rows)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from pathlib import Path
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import simtree
-from simtree.cli import main
+from simtree.cli import build_parser, main
 from simtree.laurent import PRODUCT_PAIR_CAP
+from simtree.weighted import SCHEMES
 
 DATA = Path(simtree.__file__).parent / "data"
 
@@ -54,7 +56,23 @@ def test_count_cap_exit_3(capsys):
     code, out, err = run(capsys, "count", "--generators", "8,9", "--method", "oracle")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == "error: 30260340 candidate subsets exceed the oracle's budget 2000000\n"
+    assert err == "error: comb(36, 8) candidate subsets exceed the oracle's budget 2000000\n"
+
+
+def test_oracle_budget_refusal_names_no_unbounded_count(tmp_path, capsys):
+    # the cone on vertex 1 over K_199 plus 10,000 triangles on 2..200: 29,701
+    # facets within the face budget, and comb(29701, 19701) has about 8,000
+    # digits, past the int-to-str digit limit
+    cone = [[1, a, b] for a, b in itertools.combinations(range(2, 201), 2)]
+    rest = itertools.islice(itertools.combinations(range(2, 201), 3), 10_000)
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"facets": cone + [list(F) for F in rest]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--complex", str(path), "--method", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == ("error: comb(29701, 19701) candidate subsets exceed the oracle's "
+                   "budget 2000000\n")
 
 
 def test_weighted_det_cap_exit_3(capsys):
@@ -95,6 +113,12 @@ def test_homology(capsys):
     code, out, _ = run(capsys, "homology", "--complex", f"{DATA}/rp2_six.json", "--dim", "1")
     assert code == 0
     assert json.loads(out) == {"betti": 0, "torsion_order": 2}
+
+
+def test_scheme_choices_are_the_weighting_schemes():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    (scheme,) = [a for a in commands.choices["weighted"]._actions if a.dest == "scheme"]
+    assert tuple(scheme.choices) == SCHEMES
 
 
 def test_weighted_coarse_golden(capsys):
@@ -225,6 +249,25 @@ def test_malformed_spectrum_file_exit_1(tmp_path, capsys, text):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--complex"),
+    ("shifted", "hear", "--spectrum-file"),
+], ids=["complex", "spectrum-file"])
+@pytest.mark.parametrize("content", [
+    b'{"facets": [[' + b"1" * 5000 + b"]]}",
+    b'{"facets": [[1, 2]], "x": "\xff"}',
+    b"[" * 100_000,
+    b'{"spectra": {"' + b"1" * 5000 + b'": [{"S": [1], "T": [1]}]}}',
+], ids=["long-integer", "invalid-utf-8", "deep-nesting", "long-dimension-key"])
+def test_unreadable_files_exit_1_without_a_traceback(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_zero_dimensional_complex(tmp_path, capsys):
     path = tmp_path / "points.json"
     path.write_text('{"facets": [[1], [2], [3]]}')
@@ -245,7 +288,7 @@ def test_hear_face_cap_exit_3(tmp_path, capsys, text):
     code, out, err = run(capsys, "shifted", "hear", "--spectrum-file", str(path))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "50000 faces" in err
+    assert err.startswith("error: ") and "50000 faces (the face budget)" in err
 
 
 @pytest.mark.parametrize("source", ["file", "generators"])
@@ -260,7 +303,7 @@ def test_generators_face_cap_exit_3(tmp_path, capsys, source):
     code, out, err = run(capsys, "count", *argv, "--dim", "1")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "50000 faces" in err
+    assert err.startswith("error: ") and "50000 faces (the face budget)" in err
 
 
 def test_facet_face_budget_exit_3(tmp_path, capsys):

@@ -66,6 +66,6 @@ def test_witness_pair():
 
 
 def test_witness_search_exhausts_small_range():
-    rep = find_coarse_hearing_witness(5, None)
+    rep = find_coarse_hearing_witness(5, 5)
     assert not rep["found"]
     assert rep["searched_max_vertices"] == 5

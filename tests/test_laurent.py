@@ -19,6 +19,7 @@ from simtree.laurent import (
     poly_to_json_dict,
     product,
     product_sum,
+    x_facet,
 )
 from reference_kernels import (
     FractionLaurentPoly,
@@ -89,6 +90,11 @@ def test_monomial_for_face():
     # multisets repeat positions (fine) / accumulate exponents (coarse)
     assert monomial_for_face((2, 2), "fine") == X_fine(1, 2) * X_fine(2, 2)
     assert monomial_for_face((2, 2), "coarse") == X_coarse(2, 2)
+    # facet: one variable per face, in its given order
+    assert monomial_for_face((1, 3), "facet") == x_facet((1, 3), 2)
+    assert monomial_for_face((1, 3), "facet", squared=False) == x_facet((1, 3))
+    with pytest.raises(InputError, match="^unknown weighting scheme 'bogus'$"):
+        monomial_for_face((1, 3), "bogus")
 
 
 def test_raise_examples():

@@ -17,6 +17,7 @@ from reference_kernels import (
     symbolic_matmul,
 )
 
+from simtree import complexes, shifted
 from simtree.complexes import SimplicialComplex, is_shifted, shifted_from_generators
 from simtree.corpus import enumerate_shifted_complexes
 from simtree.errors import DomainError, ExactnessError, InputError
@@ -210,6 +211,21 @@ def test_spectrum_is_computed_once_per_complex_and_dimension():
         shifted_spectrum(cx, 3)
     with pytest.raises(InputError):
         shifted_spectrum(cx, -1)
+
+
+def test_a_complex_built_from_shifted_generators_is_scanned_once(monkeypatch):
+    scans = []
+
+    def counting_is_shifted(cx):
+        scans.append(cx)
+        return is_shifted(cx)
+
+    monkeypatch.setattr(complexes, "is_shifted", counting_is_shifted)
+    monkeypatch.setattr(shifted, "is_shifted", counting_is_shifted)
+    cx = shifted_from_generators([(2, 4, 6), (3, 5, 6)], 1)
+    shifted_spectrum(cx, cx.dim)
+    shifted_tau_fine(cx)
+    assert scans == [cx]
 
 
 def test_non_shifted_complex_is_refused_on_every_call():

@@ -54,7 +54,6 @@ from simtree import weighted
 from simtree.weighted import (
     SCHEMES,
     SymbolicMatrix,
-    facet_weight,
     symbolic_det,
     weighted_laplacian_factors,
     weighted_oracle,
@@ -188,6 +187,12 @@ def test_weighted_oracle_matches_tau():
     B = bipyramid()
     for scheme in ("fine", "coarse", "facet"):
         assert weighted_oracle(B, scheme) == weighted_tau(B, scheme)
+
+
+def test_an_unknown_scheme_raises_input_error():
+    for enumerator in (weighted_tau, weighted_oracle):
+        with pytest.raises(InputError, match="^unknown weighting scheme 'bogus'$"):
+            enumerator(bipyramid(), "bogus")
 
 
 def test_weighted_oracle_triangle_fine():
@@ -397,7 +402,7 @@ def test_weighted_tau_at_points_matches_the_substitution_route():
     for cx in [*fixtures, *corpus, *random_apc_2_complexes(5)]:
         for scheme in SCHEMES:
             variables = sorted({v for F in cx.faces_of_dim(cx.dim)
-                                for v in facet_weight(F, scheme).variables()})
+                                for v in monomial_for_face(F, scheme).variables()})
             points = [{v: rng.randint(1, 10_000) for v in variables} for _ in range(2)]
             points.append({v: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                            for v in variables})
