@@ -52,11 +52,13 @@ def _read_json(path, what: str):
 
 
 def _load_any_complex(args):
-    if getattr(args, "complex", None):
+    if args.min_vertex is not None and args.generators is None:
+        raise InputError("--min-vertex applies only to --generators")
+    if args.complex:
         return complex_from_json_dict(_read_json(args.complex, "complex"))
-    if getattr(args, "generators", None):
+    if args.generators:
         gens = [face(_int_list(chunk)) for chunk in args.generators.split(";")]
-        return shifted_from_generators(gens, args.min_vertex)
+        return shifted_from_generators(gens, 1 if args.min_vertex is None else args.min_vertex)
     raise InputError("provide --complex FILE or --generators LIST")
 
 
@@ -73,6 +75,8 @@ def _cmd_homology(args) -> str:
 
 
 def _cmd_count(args) -> str:
+    if args.trees and args.method != "oracle":
+        raise InputError("--trees applies only to --method oracle")
     cx = _load_any_complex(args)
     k = args.dim if args.dim is not None else cx.dim
     if args.method == "oracle":
@@ -104,20 +108,17 @@ def _is_int_list(value) -> bool:
 def _load_spectra(path) -> dict:
     """The spectra of a spectrum file: an object whose "spectra" maps each
     dimension (a decimal string) to a list of {"S": int list, "T": nonempty
-    int list}, as `sst shifted spectrum --json` writes it."""
+    int list}, as `sst shifted spectrum --json` writes it. A d-face brings
+    2^(d+1) faces, so within the face budget a dimension is at most 14."""
     data = _read_json(path, "spectra")
     raw = data.get("spectra") if isinstance(data, dict) else None
-    try:  # int(i) of a key past the int-to-str digit limit raises ValueError
-        ok = isinstance(raw, dict) and all(
-            i.isdecimal() and str(int(i)) == i and isinstance(entries, list)
+    if not (isinstance(raw, dict) and all(
+            i in [str(d) for d in range(15)] and isinstance(entries, list)
             and all(isinstance(e, dict) and _is_int_list(e.get("S"))
                     and _is_int_list(e.get("T")) and e["T"] for e in entries)
-            for i, entries in raw.items())
-    except ValueError:
-        ok = False
-    if not ok:
-        raise InputError(f"{path}: \"spectra\" must map each dimension to a list of "
-                         "{\"S\": integer list, \"T\": nonempty integer list}")
+            for i, entries in raw.items())):
+        raise InputError(f"{path}: \"spectra\" must map each dimension, 0 to 14, to a list "
+                         "of {\"S\": integer list, \"T\": nonempty integer list}")
     dim = max(map(int, raw), default=0)
     return {int(i): [ZPolynomial(S=tuple(e["S"]), T=tuple(e["T"]),
                                  shift=dim - int(i), cutoff=dim) for e in entries]
@@ -195,9 +196,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_complex_args(p):
-        p.add_argument("--complex", help="JSON complex file")
-        p.add_argument("--generators", help="shifted generators, e.g. '2,3,5' or '2,4;3,3'")
-        p.add_argument("--min-vertex", type=int, default=1)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--complex", help="JSON complex file")
+        source.add_argument("--generators", help="shifted generators, e.g. '2,3,5' or '2,4;3,3'")
+        p.add_argument("--min-vertex", type=int, help="minimal vertex of --generators (default 1)")
 
     p = sub.add_parser("homology", help="reduced homology summary")
     add_complex_args(p)
@@ -248,19 +250,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    codes = {InputError: 1, DomainError: 2, ResourceLimitError: 3}
     try:
         args = parser.parse_args(argv)
         print(args.func(args))
         return 0
-    except InputError as exc:
+    except tuple(codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return codes[type(exc)]
 
 
 if __name__ == "__main__":

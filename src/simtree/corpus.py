@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 from .complexes import SimplicialComplex, lower_covers
@@ -94,10 +95,10 @@ def find_coarse_hearing_witness(max_vertices: int = 7, extended_max: int = 9) ->
         for ideal in componentwise_ideals(q, 3):
             if not ideal:
                 continue
-            verts = {v for F in ideal for v in F}
-            if verts != set(range(1, q + 1)):
+            counts = Counter(v for F in ideal for v in F)
+            if len(counts) != q:
                 continue  # counted at its true vertex count
-            degrees = tuple(sum(1 for F in ideal if v in F) for v in range(1, q + 1))
+            degrees = tuple(counts[v] for v in range(1, q + 1))
             fam = tuple(sorted(ideal))
             for other in groups.get(degrees, ()):
                 report = _witness_pair_report(other, fam, q, degrees)

@@ -41,19 +41,6 @@ from .complexes import SimplicialComplex
 from .errors import ExactnessError, InputError, _require
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_sub_scaled_identity(A, lam):
-    """A - lam*I."""
-    n = len(A)
-    out = [list(r) for r in A]
-    for i in range(n):
-        out[i][i] -= lam
-    return out
-
-
 def bareiss_det(M) -> int:
     """Exact determinant of a square integer matrix (empty matrix -> 1)."""
     n = len(M)
@@ -343,7 +330,7 @@ def char_poly(M) -> list:
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in M]
-    B = identity_matrix(n)
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         prev = B
         B = []
@@ -433,7 +420,10 @@ def integer_spectrum_check(M, expected) -> bool:
         counts[lam] = counts.get(lam, 0) + 1
     total = 0
     for lam, want in counts.items():
-        mult = n - rank(mat_sub_scaled_identity(M, lam))
+        A = [list(r) for r in M]  # M - lam I
+        for i in range(n):
+            A[i][i] -= lam
+        mult = n - rank(A)
         if mult != want:
             return False
         total += mult

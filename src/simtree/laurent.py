@@ -400,10 +400,7 @@ def monomial_for_face(F, weighting: str = "fine", squared: bool = True) -> Laure
         return x_facet(F, step)
     if weighting != "coarse":
         raise InputError(f"unknown weighting scheme {weighting!r}")
-    exps = {}
-    for j in F:
-        exps[(COARSE, j)] = exps.get((COARSE, j), 0) + step
-    return LaurentPoly.monomial(exps)
+    return LaurentPoly({tuple(((COARSE, j), step) for j in F): 1})  # sums repeated vertices
 
 
 def poly_sum(polys) -> LaurentPoly:

@@ -108,7 +108,8 @@ def _long_signatures(cx: SimplicialComplex, i: int) -> list:
 
 def lsg_recursive(cx: SimplicialComplex, i: int) -> list:
     """The same multiset via the deletion/link recurrence on the pure i-skeleton
-    (the paper's recurrence; the acceptance gate compares it with lsg_direct)."""
+    (the paper's recurrence; the acceptance gate compares it with the pairs
+    of shifted_spectrum(cx, i))."""
     if i < 0 or not cx.vertices:
         return []
     pure = cx.pure_skeleton(i)
@@ -289,13 +290,10 @@ def shifted_tau_fine(cx: SimplicialComplex) -> LaurentPoly:
                      + [LaurentPoly({fine_face_key(S + (p,), 0, -2): 1}) for S, _ in sigs]
                      + [poly_sum(monomial_for_face(S + (j,)) for j in (p,) + T)
                         for S, T in sigs])
-    _require(result.has_nonnegative_integer_coeffs() and _all_exps_nonneg(result),
+    _require(result.has_nonnegative_integer_coeffs()
+             and all(e >= 0 for key in result.terms for _, e in key),
              "fine enumerator must be a genuine polynomial")
     return result
-
-
-def _all_exps_nonneg(p: LaurentPoly) -> bool:
-    return all(e >= 0 for key in p.terms for _, e in key)
 
 
 def coarse_E(t: int) -> LaurentPoly:
@@ -303,39 +301,30 @@ def coarse_E(t: int) -> LaurentPoly:
 
 
 def shifted_tau_coarse(cx: SimplicialComplex) -> LaurentPoly:
-    """Coarse enumerator X^{deg(1*link)_d} * prod_t (E_t/X_1)^{mult of t in
-    (deg(1*del)_{d+1})'}; requires initial vertex 1."""
+    """Coarse enumerator X^{deg(1*link)_d} * prod over the parts t of the
+    conjugate (deg(1*del)_{d+1})' of E_t/X_1; requires initial vertex 1. The
+    cone 1*del has del's d-faces as its facets, all through vertex 1."""
     _check_shifted(cx)
     if not cx.vertices or cx.min_vertex != 1:
         raise DomainError("coarse enumerator requires initial vertex 1")
     d = cx.dim
     dele = cx.deletion(1)
-    link = cx.link(1)
-    factors = [monomial_for_face(F + (1,), "coarse", squared=True)
-               for F in link.faces_of_dim(d - 1)]
-    cone_del_tops = [tuple(sorted(F + (1,))) for F in dele.faces_of_dim(d)]
-    q = cx.vertices[-1]
-    degs = [sum(1 for F in cone_del_tops if v in F) for v in range(1, q + 2)]
-    x1 = monomial_for_face((1,), "coarse", squared=True)
-    for t in range(1, q + 1):
-        mult = degs[t - 1] - degs[t]
-        _require(mult >= 0, "facet degrees of a shifted family must be weakly decreasing")
-        if mult:
-            factors += [coarse_E(t).div_exact(x1)] * mult
-    return product(factors)
+    degs = (dele.f(d), *dele.degree_sequence(d))
+    _require(all(a >= b for a, b in zip(degs, degs[1:])),
+             "facet degrees of a shifted family must be weakly decreasing")
+    x1 = monomial_for_face((1,), "coarse")
+    return product([monomial_for_face(F + (1,), "coarse") for F in cx.link(1).faces_of_dim(d - 1)]
+                   # smallest parts first: the product budget counts pairs in this order
+                   + [coarse_E(t).div_exact(x1) for t in reversed(conjugate_partition(degs))])
 
 
 # -- threshold graphs ------------------------------------------------------------
 
 
-def edge_monomial(a: int, b: int) -> LaurentPoly:
-    """X_{{a,b}} = X[1,min] * X[2,max] (a == b gives the multiset {a,a})."""
-    return monomial_for_face(tuple(sorted((a, b))), "fine", squared=True)
-
-
 def threshold_tau(cx: SimplicialComplex) -> LaurentPoly:
     """Weighted spanning-tree enumerator of a connected threshold graph:
-    X_{{1,n}} * prod_{v=2}^{n-1} sum_{j=1}^{(deg)'_v} X_{{v,j}}."""
+    X_{{1,n}} * prod_{v=2}^{n-1} sum_{j=1}^{(deg)'_v} X_{{v,j}}, with the
+    fine X_{{a,b}} = X[1,min] * X[2,max] of monomial_for_face."""
     _check_shifted(cx)
     if cx.dim != 1:
         raise DomainError("threshold graphs are 1-dimensional shifted complexes")
@@ -345,8 +334,8 @@ def threshold_tau(cx: SimplicialComplex) -> LaurentPoly:
         raise DomainError("threshold graph is not connected")
     n = cx.vertices[-1]
     conj = conjugate_partition(cx.degree_sequence(1))
-    return product([edge_monomial(1, n)]
-                   + [poly_sum(edge_monomial(v, j) for j in range(1, conj[v - 1] + 1))
+    return product([monomial_for_face((1, n))]
+                   + [poly_sum(monomial_for_face((v, j)) for j in range(1, conj[v - 1] + 1))
                       for v in range(2, n)])
 
 

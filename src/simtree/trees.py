@@ -202,15 +202,17 @@ def enumerate_ssts(cx: SimplicialComplex, k: int, include_trees: bool = True) ->
     A path with no pivot in others is unimodular: its columns are unimodularly
     equivalent to a unit triangular block, so the tree's torsion is 1. Only
     the other trees take a Smith normal form. ResourceLimitError when the
-    comb(f_k, size) candidate subsets pass SUBSET_CAP, the oracle's budget.
+    comb(f_k, size) candidate subsets pass SUBSET_CAP, the oracle's budget;
+    that test runs before the APC check, so it refuses a non-APC complex too.
     """
-    _require_apc(cx, k)
+    _check_tree_dimension(cx, k)
     kfaces = cx.faces_of_dim(k)
     n_cols = len(kfaces)
     size = cx.f(k - 1) - boundary_rank(cx, k - 1)  # at least 1: bd_k of a k-face is nonzero
     if comb(n_cols, size) > SUBSET_CAP:
         raise ResourceLimitError(f"comb({n_cols}, {size}) candidate subsets exceed the "
                                  f"oracle's budget {SUBSET_CAP}")
+    _require_apc(cx, k)  # after the budget test, which needs only rank bd_{k-1}
     supports = cx.boundary_matrix(k).supports
     units, others = {}, {}  # the path's pivots, as in ColumnReduction
     chosen = []

@@ -10,8 +10,8 @@ The weighted up-down Laplacian, the sum over facets of X_F bd(F) bd(F)^T, is
 a trees.LaplacianFactors with the key of X_F per column and () per row. Both
 enumerators read it at the rows that the ridge tree keeps: weighted_tau as
 Laurent entries, weighted_tau_at_points as one integer matrix per point. The
-symbolic determinant expands by columns in one packed Laurent layout, with
-every minor memoised as a packed dict.
+symbolic determinant expands by the columns' nonzero entries in one packed
+Laurent layout, with every minor memoised as a packed dict.
 """
 
 from __future__ import annotations
@@ -76,15 +76,18 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
     a packed dict accumulated in place, and only the result is unpacked.
 
     Minors are keyed by the bitmask of available rows (the column index is the
-    popcount), so the cost is O(2^n * n) products of an entry and a minor.
-    Raises ResourceLimitError when n passes DET_SIZE_CAP, the size budget.
+    popcount). Each visits only its column's nonzero rows in the mask, signed
+    by the parity of the mask's rows above: one product of an entry and a
+    minor per such row, over at most 2^n masks. Raises ResourceLimitError
+    when n passes DET_SIZE_CAP, the size budget.
     """
     n = M.n_rows
     if n != M.n_cols:
         raise InputError("determinant requires a square matrix")
     _require_det_size(n)
     kind, pack, unpack, zero = _packing([row[j] for row in M.entries] for j in range(n))
-    entries = [[[(pack(k), c) for k, c in e.terms.items()] for e in row] for row in M.entries]
+    columns = [[(1 << i, [(pack(k), c) for k, c in row[j].terms.items()])
+                for i, row in enumerate(M.entries) if row[j]] for j in range(n)]
     one = {0: 1}
     memo = {}
 
@@ -96,21 +99,16 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
             return acc
         acc = memo[mask] = {}
         get = acc.get
-        negate = False
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            entry = entries[low.bit_length() - 1][j]
-            if entry:
-                sub = minor(mask ^ low, j + 1)
+        for bit, entry in columns[j]:
+            if mask & bit:
+                sub = minor(mask ^ bit, j + 1)
+                negate = (mask & (bit - 1)).bit_count() & 1
                 for ke, ce in entry:
                     if negate:
                         ce = -ce
                     for ks, cs in sub.items():
                         k = ke + ks
                         acc[k] = get(k, 0) + ce * cs
-            negate = not negate
-            rest ^= low
         for k in [k for k, c in acc.items() if not c]:
             del acc[k]
         return acc

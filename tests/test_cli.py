@@ -59,19 +59,35 @@ def test_count_cap_exit_3(capsys):
     assert err == "error: comb(36, 8) candidate subsets exceed the oracle's budget 2000000\n"
 
 
-def test_oracle_budget_refusal_names_no_unbounded_count(tmp_path, capsys):
-    # the cone on vertex 1 over K_199 plus 10,000 triangles on 2..200: 29,701
-    # facets within the face budget, and comb(29701, 19701) has about 8,000
-    # digits, past the int-to-str digit limit. Building the complex and its
-    # APC check take about half a second before the budget test, so the bound
-    # leaves room for a host running at half speed.
+def _write_cone(path, extra=()):
+    """The cone on vertex 1 over K_199 plus 10,000 triangles on 2..200, and
+    the extra facets: 29,701 facets and 49,802 faces without them, within the
+    face budget, and comb(29701, 19701) has about 8,000 digits, past the
+    int-to-str digit limit."""
     cone = [[1, a, b] for a, b in itertools.combinations(range(2, 201), 2)]
     rest = itertools.islice(itertools.combinations(range(2, 201), 3), 10_000)
-    path = tmp_path / "cone.json"
-    path.write_text(json.dumps({"facets": cone + [list(F) for F in rest]}))
+    path.write_text(json.dumps({"facets": cone + [list(F) for F in rest] + list(extra)}))
+    return str(path)
+
+
+def test_oracle_budget_refusal_names_no_unbounded_count(tmp_path, capsys):
+    # Building the complex and the rank of bd_1 take about half a second
+    # before the budget test, so the bound leaves room for a host running at
+    # half speed.
+    path = _write_cone(tmp_path / "cone.json")
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "--complex", str(path), "--method", "oracle")
+    code, out, err = run(capsys, "count", "--complex", path, "--method", "oracle")
     assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == ("error: comb(29701, 19701) candidate subsets exceed the oracle's "
+                   "budget 2000000\n")
+
+
+def test_oracle_budget_refusal_comes_before_the_apc_check(tmp_path, capsys):
+    # an isolated vertex makes the cone disconnected (49,803 faces): the
+    # budget test, which needs only rank bd_1, refuses it before the APC check
+    path = _write_cone(tmp_path / "cone.json", extra=[[201]])
+    code, out, err = run(capsys, "count", "--complex", path, "--method", "oracle")
     assert (code, out) == (3, "")
     assert err == ("error: comb(29701, 19701) candidate subsets exceed the oracle's "
                    "budget 2000000\n")
@@ -249,6 +265,39 @@ def test_malformed_spectrum_file_exit_1(tmp_path, capsys, text):
     code, out, err = run(capsys, "shifted", "hear", "--spectrum-file", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["1" * 4000, "15"], ids=["4000-digit", "15"])
+def test_spectra_dimension_past_the_face_budget_exit_1(tmp_path, capsys, key):
+    # a d-face brings 2^(d+1) faces, so no complex within the face budget
+    # reaches dimension 15; the refusal does not quote the key
+    path = tmp_path / "spectra.json"
+    path.write_text(json.dumps({"spectra": {key: [{"S": [], "T": [1]}]}}))
+    code, out, err = run(capsys, "shifted", "hear", "--spectrum-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: \"spectra\" must map each dimension, 0 to 14, to a list "
+                   "of {\"S\": integer list, \"T\": nonempty integer list}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--complex", f"{DATA}/bipyramid.json", "--generators", "2,3"],
+     "argument --generators: not allowed with argument --complex"),
+    (["shifted", "spectrum", "--generators", "2,3", "--complex", f"{DATA}/bipyramid.json"],
+     "argument --complex: not allowed with argument --generators"),
+    (["count", "--complex", f"{DATA}/bipyramid.json", "--min-vertex", "2"],
+     "--min-vertex applies only to --generators"),
+    (["homology", "--complex", f"{DATA}/bipyramid.json", "--dim", "1", "--min-vertex", "1"],
+     "--min-vertex applies only to --generators"),
+    (["count", "--complex", f"{DATA}/bipyramid.json", "--trees"],
+     "--trees applies only to --method oracle"),
+    (["count", "--generators", "2,3", "--method", "altproduct", "--trees"],
+     "--trees applies only to --method oracle"),
+], ids=["complex-and-generators", "generators-and-complex", "min-vertex-with-complex",
+        "min-vertex-on-homology", "trees-with-laplacian", "trees-with-altproduct"])
+def test_options_the_call_would_ignore_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,12 +483,20 @@ _PAST_BUDGETS = [
     ["weighted", "--generators", "5,6,7", "--scheme", "coarse"],
     ["homology", "--generators", "25001", "--dim", "0"],
 ]
+# Calls refused for the domain (exit 2), which random draws rarely reach: a
+# complex that is not APC, for the reduced Laplacian and the weighted
+# enumerator, and a coarse enumerator whose initial vertex is not 1.
+_DOMAIN_REFUSALS = [
+    ["count", "--generators", "1,2;3"],
+    ["weighted", "--generators", "1,2;3", "--scheme", "fine"],
+    ["shifted", "tau", "--coarse", "--generators", "3,4", "--min-vertex", "2"],
+]
 
 
 @st.composite
 def _argv(draw):
     if draw(st.integers(0, 29)) == 0:
-        return list(draw(st.sampled_from(_PAST_BUDGETS)))
+        return list(draw(st.sampled_from(_PAST_BUDGETS + _DOMAIN_REFUSALS)))
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     argv = [command]
     if command == "shifted":
