@@ -14,16 +14,23 @@ or columns given by their supports; everything is exact. Algorithms:
   complex. The oracle's DFS (trees.enumerate_ssts) takes the same step on
   the supports: it carries each candidate column, reduced against the path,
   down the tree, and reduces it further only when a new pivot takes its low;
-- determinants by fraction-free Bareiss elimination; a symmetric positive
-  definite matrix (a reduced Laplacian) by the same elimination on the upper
-  triangle with no row swaps, every pivot checked positive;
+- one symmetric determinant loop, _leading_minors: fraction-free Bareiss
+  elimination (Bareiss 1968) on the upper triangle with no row swaps,
+  which leaves a row unscaled while its multipliers are zero and divides
+  the skipped factors out once, when the row is next used. definite_det
+  (reduced Laplacians, Gram matrices) checks every pivot positive;
+  bareiss_det runs it on every symmetric matrix and takes row swaps only
+  past a zero leading minor, or on a matrix that is not symmetric;
 - one integer Gram builder, _gram, on all rows or on a row map's rows only:
   it builds every integer Laplacian and both Gram matrices below;
 - the product of the nonzero eigenvalues of B B^T from the column supports
-  of B, with no dense product: P, the lexicographically first row basis,
-  and a column basis Q come from one column reduction of B^T, and the
-  product is det(B_P B_P^T) det(B_Q^T B_Q) / det(B_PQ)^2, two positive
+  of B, with no dense product: a column basis Q and a row basis P come
+  from one column reduction of B (for a boundary, the memoised one), and
+  the product is det(B_P B_P^T) det(B_Q^T B_Q) / det(B_PQ)^2, two positive
   definite determinants of size rank(B);
+- the Duval-Reiner integer spectrum check: the traces of M and M^2 against
+  the expected power sums, then one column reduction of M - lambda I per
+  distinct expected lambda but one, which the traces cover;
 - characteristic polynomials by Faddeev-LeVerrier, multiplying by the
   nonzeros of the matrix only, with an integrality check at every step.
 
@@ -33,6 +40,7 @@ python -O would strip).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -42,12 +50,26 @@ from .errors import ExactnessError, InputError, _require
 
 
 def bareiss_det(M) -> int:
-    """Exact determinant of a square integer matrix (empty matrix -> 1)."""
+    """Exact determinant of a square integer matrix (empty matrix -> 1).
+
+    A symmetric matrix takes the symmetric loop that definite_det runs,
+    _leading_minors. A matrix that is not symmetric, or a symmetric one with
+    a zero leading principal minor before the last, takes Bareiss
+    elimination with row swaps."""
     n = len(M)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in M):
         raise InputError("determinant requires a square matrix")
+    if _is_symmetric(M):
+        minors = [1, *_leading_minors(M)]
+        if len(minors) > n:
+            return minors[-1]
+    return _row_swap_det(M)
+
+
+def _row_swap_det(M) -> int:
+    """Fraction-free Bareiss elimination with row swaps, on a nonempty square
+    integer matrix."""
+    n = len(M)
     A = [list(r) for r in M]
     sign = 1
     prev = 1
@@ -71,40 +93,69 @@ def bareiss_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def _require_symmetric(M):
-    _require(all(M[i][j] == M[j][i] for i in range(len(M)) for j in range(i)),
-             "matrix is not symmetric")
+def _is_symmetric(M) -> bool:
+    """Is the square matrix M symmetric? Row i is compared with column i,
+    and the scan stops at the first row that differs."""
+    return all(map(tuple.__eq__, map(tuple, M), zip(*M)))
+
+
+def _leading_minors(M):
+    """Yield the leading principal minors p_0, p_1, ... of the symmetric
+    integer matrix M, stopping after the first zero one.
+
+    Bareiss elimination without row swaps: p_k is the k-th pivot, and every
+    trailing block stays symmetric, so only its upper triangle is updated.
+    Row i's update at step k is (p_k row_i - a_ki row_k) / p_{k-1}; when the
+    multiplier a_ki is zero that is the rescaling p_k / p_{k-1}, which is
+    not done. The skipped factors telescope: a row last updated at step
+    s - 1 holds its true entries times p_{s-1} / p_{k-1} at step k, and that
+    factor is divided out, exactly, only when the row is next the pivot row
+    or next has a nonzero multiplier."""
+    n = len(M)
+    A = [list(r) for r in M]
+    p = [1]  # p[k] = p_{k-1}, with p_{-1} = 1
+    last = [0] * n  # row i holds its true entries after step last[i] - 1
+    for k in range(n):
+        Ak, prev = A[k], p[k]
+        s = last[k]
+        if s != k:
+            ps = p[s]
+            for j in range(k, n):
+                Ak[j] = Ak[j] * prev // ps
+        pkk = Ak[k]
+        yield pkk
+        if not pkk:
+            return
+        for i in range(k + 1, n):
+            aki = Ak[i]
+            if aki:
+                Ai = A[i]
+                s = last[i]
+                if s == k:
+                    for j in range(i, n):
+                        Ai[j] = (pkk * Ai[j] - aki * Ak[j]) // prev
+                else:
+                    ps = p[s]
+                    for j in range(i, n):
+                        Ai[j] = (pkk * (Ai[j] * prev // ps) - aki * Ak[j]) // prev
+                last[i] = k + 1
+        p.append(pkk)
 
 
 def definite_det(M) -> int:
     """Exact determinant of a symmetric positive definite integer matrix
-    (empty matrix -> 1).
-
-    Bareiss elimination without row swaps: the k-th pivot is the k-th leading
-    principal minor, and every trailing block stays symmetric, so only its
-    upper triangle is updated. A pivot that is not positive means the matrix
-    is not positive definite and raises ExactnessError, as does an asymmetric
+    (empty matrix -> 1): the last leading principal minor of
+    _leading_minors. A minor that is not positive means the matrix is not
+    positive definite and raises ExactnessError, as does an asymmetric
     input."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise InputError("determinant requires a square matrix")
-    _require_symmetric(M)
-    A = [list(r) for r in M]
-    prev = 1
-    for k in range(n):
-        Ak = A[k]
-        pkk = Ak[k]
-        _require(pkk > 0, "matrix is not positive definite")
-        for i in range(k + 1, n):
-            Ai, aki = A[i], Ak[i]
-            if aki:
-                for j in range(i, n):
-                    Ai[j] = (pkk * Ai[j] - aki * Ak[j]) // prev
-            elif pkk != prev:
-                for j in range(i, n):
-                    Ai[j] = pkk * Ai[j] // prev
-        prev = pkk
-    return prev
+    _require(_is_symmetric(M), "matrix is not symmetric")
+    det = 1
+    for det in _leading_minors(M):
+        _require(det > 0, "matrix is not positive definite")
+    return det
 
 
 def fraction_det(M) -> Fraction:
@@ -377,29 +428,33 @@ def gram_pseudodeterminant(columns, n_rows) -> int:
     """The product of the nonzero eigenvalues of B B^T (1 when B = 0), for
     an integer matrix B with n_rows rows given by its column supports.
 
-    One column reduction of the rows of B gives P, the pivot rows of B (its
-    lexicographically first row basis), and Q, the columns at the reduced
-    rows' last nonzeros. The reduced rows are T B_{P,:} with T triangular
-    and nonsingular, and triangular at Q, so B_PQ is nonsingular and Q is a
-    column basis. Then B = B_{:,Q} B_PQ^-1 B_{P,:}, and the nonzero
+    One column reduction of B gives Q, its pivot columns (its
+    lexicographically first column basis), and P, the rows at the reduced
+    columns' last nonzeros. The reduced columns are B_{:,Q} T with T
+    triangular and nonsingular, and triangular at P, so B_PQ is nonsingular
+    and P is a row basis. Then B = B_{:,Q} B_PQ^-1 B_{P,:}, and the nonzero
     eigenvalues of B B^T are those of (B_Q^T B_Q) B_PQ^-1 (B_P B_P^T) B_PQ^-T:
 
         pdet(B B^T) = det(B_P B_P^T) det(B_Q^T B_Q) / det(B_PQ)^2,
 
     two positive definite Gram determinants of size rank(B). When the
-    reduction is unimodular, T and the reduced rows at Q are unit triangular
-    and det(B_PQ) = +-1; otherwise |det(B_PQ)| is the product of its Smith
-    normal form. A quotient that is not integral raises ExactnessError."""
-    rows = transpose(columns, n_rows)
-    reduction = ColumnReduction(rows)
-    at_p = {p: a for a, p in enumerate(reduction.pivots)}
-    at_q = {q: a for a, q in enumerate(reduction.lows)}
+    reduction is unimodular, T and the reduced columns at P are unit
+    triangular and det(B_PQ) = +-1; otherwise |det(B_PQ)| is the product of
+    its Smith normal form. A quotient that is not integral raises
+    ExactnessError."""
+    return _gram_pseudodeterminant(columns, n_rows, ColumnReduction(columns))
+
+
+def _gram_pseudodeterminant(columns, n_rows, reduction) -> int:
+    """gram_pseudodeterminant given the column reduction of B."""
+    at_p = {p: a for a, p in enumerate(sorted(reduction.lows))}
+    at_q = {q: a for a, q in enumerate(reduction.pivots)}
     num = (definite_det(_gram(columns, n_rows, at_p))
-           * definite_det(_gram(rows, len(columns), at_q)))
+           * definite_det(_gram(transpose(columns, n_rows), len(columns), at_q)))
     if reduction.unimodular:
         return num
     factors = ColumnReduction([[(i, x) for i, x in columns[q] if i in at_p]
-                               for q in reduction.lows]).invariant_factors()
+                               for q in reduction.pivots]).invariant_factors()
     _require(len(factors) == len(at_q), "B_PQ is singular")
     den = prod(factors) ** 2
     _require(num % den == 0, "nonzero eigenvalue product is not integral")
@@ -407,27 +462,36 @@ def gram_pseudodeterminant(columns, n_rows) -> int:
 
 
 def integer_spectrum_check(M, expected) -> bool:
-    """Does the symmetric integer matrix M have exactly the expected eigenvalue multiset?
+    """Does the symmetric integer matrix M have exactly the expected
+    eigenvalue multiset (a list of integers)? A non-symmetric M raises
+    InputError.
 
-    `expected` is a multiset (list) of integers with len == n. Verified via
-    multiplicity(lam) = n - rank(M - lam I), valid because M is diagonalizable.
-    """
+    First tr M = sum of the lambda and tr M^2 = sum of M_ij^2 = sum of the
+    lambda^2. Then every distinct expected lambda but one, lambda_s (0 when
+    it is expected, else the first), must have multiplicity
+    w_lambda = n - rank(M - lambda I); the columns of M are read once and
+    only the diagonal entry is shifted per lambda. This suffices: M is real
+    symmetric, so it has n real eigenvalues, and the w_s that the ranks
+    leave, none of them a checked lambda, have power sums nu_1 = w_s lambda_s
+    and nu_2 = w_s lambda_s^2 by the traces. So sum (nu - lambda_s)^2 =
+    nu_2 - 2 lambda_s nu_1 + w_s lambda_s^2 = 0, and each is lambda_s."""
     n = len(M)
-    if len(expected) != n:
+    if any(len(r) != n for r in M) or not _is_symmetric(M):
+        raise InputError("spectrum check requires a symmetric matrix")
+    if (len(expected) != n or sum(M[i][i] for i in range(n)) != sum(expected)
+            or sum(x * x for r in M for x in r) != sum(lam * lam for lam in expected)):
         return False
-    counts = {}
-    for lam in expected:
-        counts[lam] = counts.get(lam, 0) + 1
-    total = 0
+    counts = Counter(expected)
+    # the traces cover one eigenvalue: 0 when it is expected, else the first
+    counts.pop(0 if 0 in counts else next(iter(counts), None), None)
+    off_diagonal = [[(i, x) for i, x in enumerate(col) if x and i != j]
+                    for j, col in enumerate(M)]
     for lam, want in counts.items():
-        A = [list(r) for r in M]  # M - lam I
-        for i in range(n):
-            A[i][i] -= lam
-        mult = n - rank(A)
-        if mult != want:
+        shifted = [[*col, (j, M[j][j] - lam)] if M[j][j] != lam else col
+                   for j, col in enumerate(off_diagonal)]
+        if n - len(ColumnReduction(shifted).pivots) != want:
             return False
-        total += mult
-    return total == n
+    return True
 
 
 # -- homology ------------------------------------------------------------

@@ -325,6 +325,14 @@ class LaurentPoly:
                     val = assignment[vid]
                 except KeyError:
                     raise InputError(f"no value for the variable {vid!r}") from None
+                if type(val) is int:
+                    if e > 0:
+                        tn *= val ** e
+                    elif val:
+                        td *= val ** -e
+                    else:
+                        raise ExactnessError("division by zero during Laurent evaluation")
+                    continue
                 vn, vd = val.numerator, val.denominator
                 if e > 0:
                     tn *= vn ** e

@@ -75,21 +75,20 @@ def critical_pairs(family, initial_vertex: int | None = None) -> list:
     fam_set = set(fam)
     if not all(c in fam_set for A in fam for c in lower_covers(A, p)):
         raise DomainError("family is not shifted")
-    return _critical_pairs(fam, fam_set, p)
+    return [CriticalPair(A=A, B=A[:idx] + (A[idx] + 1,) + A[idx + 1:], position=idx,
+                         initial_vertex=p) for A, idx in _critical_pairs(fam, fam_set)]
 
 
-def _critical_pairs(fam, fam_set, p: int) -> list:
-    """critical_pairs of the sorted shifted family fam, with no check."""
-    pairs = []
+def _critical_pairs(fam, fam_set):
+    """The critical pairs of the sorted shifted family fam, with no check, as
+    (A, position of the bumped coordinate)."""
     for A in fam:
         for idx in range(len(A)):
             b = A[idx] + 1
             if idx + 1 < len(A) and b == A[idx + 1]:
                 continue  # not a k-set
-            B = A[:idx] + (b,) + A[idx + 1:]
-            if B not in fam_set:
-                pairs.append(CriticalPair(A=A, B=B, position=idx, initial_vertex=p))
-    return pairs
+            if A[:idx] + (b,) + A[idx + 1:] not in fam_set:
+                yield A, idx
 
 
 def lsg_direct(family, initial_vertex: int | None = None) -> list:
@@ -103,7 +102,9 @@ def _long_signatures(cx: SimplicialComplex, i: int) -> list:
     fam = cx.faces_of_dim(i)
     if not fam:
         return []
-    return sorted(cp.long_signature for cp in _critical_pairs(fam, set(fam), cx.min_vertex))
+    p = cx.min_vertex
+    return sorted((A[:idx], tuple(range(p, A[idx] + 1)))
+                  for A, idx in _critical_pairs(fam, set(fam)))
 
 
 def lsg_recursive(cx: SimplicialComplex, i: int) -> list:

@@ -23,12 +23,13 @@ from .exactlinalg import (
     ColumnReduction,
     HomologySummary,
     _gram,
+    _gram_pseudodeterminant,
     betti,
     boundary_pivots,
     boundary_rank,
+    boundary_reduction,
     definite_det,
     file_pivot,
-    gram_pseudodeterminant,
     homology,
     reduce_column,
 )
@@ -320,14 +321,13 @@ def tau_via_reduced_laplacian(cx: SimplicialComplex, k: int, ridge_tree=None) ->
 
 def pi(cx: SimplicialComplex, k: int) -> int:
     """Product of the nonzero eigenvalues of L^ud_{k-1} = bd_k bd_k^T, read
-    from bd_k's own supports by exactlinalg.gram_pseudodeterminant: P, the
-    lexicographically first row basis of bd_k, comes from one column
-    reduction of the coboundary bd_k^T. These are the pivot columns of the
-    Laplacian, as L x = 0 iff bd_k^T x = 0, and no Laplacian is built."""
+    from bd_k's own supports as exactlinalg.gram_pseudodeterminant does, on
+    bd_k's memoised column reduction (exactlinalg.boundary_reduction), which
+    the homology and APC checks share. No Laplacian is built."""
     if k < 0 or k > cx.dim:
         raise InputError(f"pi dimension {k} out of range [0, {cx.dim}]")
     bd = cx.boundary_matrix(k)
-    return gram_pseudodeterminant(bd.supports, bd.n_rows)
+    return _gram_pseudodeterminant(bd.supports, bd.n_rows, boundary_reduction(cx, k))
 
 
 def tau_via_alternating_product(cx: SimplicialComplex, k: int | None = None) -> int:

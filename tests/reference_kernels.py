@@ -228,6 +228,53 @@ def pivot_columns_dense(M) -> list:
     return pivots
 
 
+def row_swap_det(M) -> int:
+    """Determinant of a square integer matrix (empty matrix -> 1) by
+    fraction-free Bareiss elimination with row swaps, on both triangles."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(r) for r in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = A[k][k]
+        for i in range(k + 1, n):
+            Ai, Ak = A[i], A[k]
+            aik = Ai[k]
+            for j in range(k + 1, n):
+                Ai[j] = (pkk * Ai[j] - aik * Ak[j]) // prev
+            Ai[k] = 0
+        prev = pkk
+    return sign * A[n - 1][n - 1]
+
+
+def integer_spectrum_check_reference(M, expected) -> bool:
+    """Does the symmetric integer matrix M have exactly the expected
+    eigenvalue multiset? Each distinct expected lambda must have multiplicity
+    n - rank(M - lambda I), every one of them by a dense elimination, and the
+    multiplicities must add up to n."""
+    n = len(M)
+    if len(expected) != n:
+        return False
+    total = 0
+    for lam in set(expected):
+        shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(M)]
+        mult = n - len(pivot_columns_dense(shifted))
+        if mult != expected.count(lam):
+            return False
+        total += mult
+    return total == n
+
+
 def smith_normal_form_dense(M) -> list:
     """Invariant factors d1 | d2 | ... | dr of a dense integer matrix, all
     positive, by elimination with a minimal pivot over the whole matrix,

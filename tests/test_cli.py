@@ -300,6 +300,28 @@ def test_options_the_call_would_ignore_exit_1(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# Each shifted action parses only its own options.
+_SHIFTED_OPTIONS_OF_OTHER_ACTIONS = [
+    ["shifted", "tau", "--generators", "2,3", "--dim", "99"],
+    ["shifted", "critical-pairs", "--generators", "2,3", "--coarse"],
+    ["shifted", "hear", "--spectrum-file", "SPECTRA", "--generators", "9,9,9",
+     "--min-vertex", "4", "--coarse"],
+    ["shifted", "spectrum", "--generators", "2,3", "--spectrum-file", "/nonexistent"],
+]
+
+
+@pytest.mark.parametrize("argv, unrecognized", list(zip(_SHIFTED_OPTIONS_OF_OTHER_ACTIONS, [
+    "--dim 99", "--coarse", "--generators 9,9,9 --min-vertex 4 --coarse",
+    "--spectrum-file /nonexistent"])), ids=["tau-dim", "critical-pairs-coarse",
+                                            "hear-complex-options", "spectrum-spectrum-file"])
+def test_shifted_actions_refuse_the_options_of_the_others(tmp_path, capsys, argv, unrecognized):
+    spectra = tmp_path / "spectra.json"
+    spectra.write_text('{"spectra": {"1": [{"S": [], "T": [1, 2]}]}}')
+    code, out, err = run(capsys, *[str(spectra) if a == "SPECTRA" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {unrecognized}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--complex"),
     ("shifted", "hear", "--spectrum-file"),
@@ -496,7 +518,8 @@ _DOMAIN_REFUSALS = [
 @st.composite
 def _argv(draw):
     if draw(st.integers(0, 29)) == 0:
-        return list(draw(st.sampled_from(_PAST_BUDGETS + _DOMAIN_REFUSALS)))
+        return list(draw(st.sampled_from(_PAST_BUDGETS + _DOMAIN_REFUSALS
+                                         + _SHIFTED_OPTIONS_OF_OTHER_ACTIONS)))
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     argv = [command]
     if command == "shifted":

@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 from helpers import dense
 from reference_kernels import (
     char_poly_fraction,
+    integer_spectrum_check_reference,
     mat_mul,
     nonzero_eigenvalue_product,
     pivot_columns_dense,
+    row_swap_det,
     smith_normal_form_dense,
 )
 
 import simtree
+from simtree import exactlinalg
 from simtree.complexes import SimplicialComplex
 from simtree.errors import ExactnessError, InputError, _require
 from simtree.corpus import enumerate_shifted_complexes
@@ -329,6 +332,132 @@ def test_gram_pseudodeterminant_examples():
 def test_nonzero_eigenvalue_product_refuses_indefinite_or_asymmetric(M):
     with pytest.raises(ExactnessError):
         nonzero_eigenvalue_product(M)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size 0-8, some with a zero first pivot,
+    a zero second leading minor, or two equal rows."""
+    n = draw(st.integers(0, 8))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5)))
+    shape = draw(st.sampled_from(("plain", "zero corner", "zero leading minor", "singular")))
+    if shape == "zero corner" and n:
+        M[0][0] = 0
+    elif shape == "zero leading minor" and n > 1:
+        a = M[0][0] or 1
+        M[0][0] = M[0][1] = M[1][0] = M[1][1] = a
+    elif shape == "singular" and n > 1:
+        # row n-1 equals row 0
+        M[0][n - 1] = M[n - 1][0] = M[n - 1][n - 1] = M[0][0]
+        for j in range(1, n - 1):
+            M[n - 1][j] = M[j][n - 1] = M[0][j]
+    return M
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_matrices())
+def test_bareiss_det_on_symmetric_matrices_matches_the_row_swap_reference(M):
+    assert bareiss_det(M) == row_swap_det(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from((0, 0, 1, -1, 2, -3, 7)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_bareiss_det_on_any_square_matrix_matches_the_row_swap_reference(M):
+    assert bareiss_det(M) == row_swap_det(M)
+
+
+def test_bareiss_det_takes_row_swaps_only_past_a_zero_leading_minor(monkeypatch):
+    swapped = []
+    real = exactlinalg._row_swap_det
+    monkeypatch.setattr(exactlinalg, "_row_swap_det", lambda M: swapped.append(M) or real(M))
+    assert bareiss_det([[0, 1], [1, 0]]) == -1  # zero first pivot
+    assert bareiss_det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1  # zero second minor
+    assert bareiss_det([[2, 1], [0, 2]]) == 4  # not symmetric
+    assert bareiss_det([[1, 2, 3], [2, 1, 0], [3, 1, 1]]) == -6  # asymmetric past row 0
+    assert len(swapped) == 4
+    # singular with only the last leading minor zero, and definite: no swaps
+    assert bareiss_det([[1, 1], [1, 1]]) == 0
+    assert bareiss_det([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
+    assert bareiss_det([]) == 1
+    assert len(swapped) == 4
+
+
+def test_integer_spectrum_check_refuses_a_non_symmetric_matrix():
+    with pytest.raises(InputError, match="symmetric"):
+        integer_spectrum_check([[1, 2], [0, 1]], [1, 1])
+    with pytest.raises(InputError, match="symmetric"):
+        integer_spectrum_check([[1, 2, 3], [2, 1, 0], [3, 2, 1]], [0, 0, 0])
+    with pytest.raises(InputError):
+        integer_spectrum_check([[1, 2]], [1])
+
+
+def test_integer_spectrum_check_ranks_what_the_traces_cannot_tell():
+    # K_3's Laplacian has eigenvalues 0, 3, 3; 1, 1, 4 has the same trace and
+    # the same sum of squares, and so has -1, 2, 2 with 0, 0, 3
+    L = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert integer_spectrum_check(L, [3, 0, 3])
+    assert not integer_spectrum_check(L, [1, 1, 4])
+    D = [[0, 0, 0], [0, 0, 0], [0, 0, 3]]
+    assert integer_spectrum_check(D, [0, 3, 0])
+    assert not integer_spectrum_check(D, [2, -1, 2])
+    assert integer_spectrum_check([], [])
+
+
+def _perturbed_spectra(spectrum, rng):
+    """The spectrum with one eigenvalue bumped, one lowered, one removed, a
+    unit moved from a nonzero eigenvalue to a zero one, a unit moved between
+    two others (the trace kept), and {c, c+3, c+3} turned into
+    {c+1, c+1, c+4} where it occurs (the trace and tr M^2 kept)."""
+    s = list(spectrum)
+    n = len(s)
+    out = []
+    i = rng.randrange(n)
+    out.append(s[:i] + [s[i] + 1] + s[i + 1:])
+    out.append(s[:i] + [s[i] - 1] + s[i + 1:])
+    out.append(s[:i] + s[i + 1:])
+    nonzero = [i for i, lam in enumerate(s) if lam]
+    zeros = [i for i, lam in enumerate(s) if not lam]
+    if nonzero and zeros:
+        t = s[:]
+        a, b = rng.choice(nonzero), rng.choice(zeros)
+        t[a], t[b] = t[a] - 1, 1
+        out.append(t)
+    if n > 1:
+        t = s[:]
+        a, b = rng.sample(range(n), 2)
+        t[a], t[b] = t[a] + 1, t[b] - 1
+        out.append(t)
+    for c in sorted(set(s)):
+        if s.count(c + 3) >= 2:
+            t = s[:]
+            t.remove(c)
+            t.remove(c + 3)
+            t.remove(c + 3)
+            out.append(t + [c + 1, c + 1, c + 4])
+            break
+    return out
+
+
+def test_integer_spectrum_check_matches_the_rank_reference_on_the_corpus():
+    from simtree.shifted import unweighted_spectrum_duval_reiner
+    from simtree.trees import up_down_laplacian
+
+    rng = random.Random(23)
+    cases = agree_true = 0
+    for cx in enumerate_shifted_complexes(6, 2):
+        L = up_down_laplacian(cx, cx.dim)
+        spectrum = list(unweighted_spectrum_duval_reiner(cx))
+        for expected in [spectrum, *_perturbed_spectra(spectrum, rng)]:
+            verdict = integer_spectrum_check(L, expected)
+            assert verdict == integer_spectrum_check_reference(L, expected), (cx, expected)
+            cases += 1
+            agree_true += verdict
+    assert cases > 2500 and agree_true >= 442
 
 
 def test_integer_spectrum_check():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 from helpers import dense
-from test_exactlinalg import complexes_7, kernel_matrices
+from test_exactlinalg import complexes_7, kernel_matrices, symmetric_matrices
 
 from simtree.exactlinalg import (
     ColumnReduction,
@@ -36,6 +36,13 @@ square = st.integers(1, 5).flatmap(
 @given(square)
 def test_det_matches_sympy(M):
     assert bareiss_det(M) == sympy.Matrix(M).det()
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_symmetric_det_matches_sympy(M):
+    # zero leading minors send some of these through the row-swap loop
+    assert bareiss_det(M) == sympy.Matrix(len(M), len(M), sum(M, [])).det()
 
 
 

@@ -12,6 +12,7 @@ from reference_kernels import (
     find_sst_reverse_delete,
     nonzero_eigenvalue_product,
     ridge_tree_torsion_reference,
+    row_swap_det,
     smith_normal_form_dense,
 )
 
@@ -25,6 +26,7 @@ from simtree.exactlinalg import (
     bareiss_det,
     betti,
     boundary_rank,
+    boundary_reduction,
     char_poly,
     definite_det,
     homology,
@@ -381,6 +383,33 @@ def test_definite_det_equals_bareiss_on_reduced_laplacians():
     assert len(sizes) > 900 and max(sizes) == 35
 
 
+def test_definite_det_matches_the_row_swap_reference_on_reduced_laplacians():
+    # reduced Laplacians of simplex skeletons are full of zero multipliers,
+    # the rows that the symmetric loop leaves unscaled
+    complexes = [*(simplex_skeleton(n, 2) for n in range(4, 10)),
+                 *(simplex_skeleton(n, 3) for n in range(5, 10)),
+                 *random_apc_2_complexes(30)]
+    for cx in complexes:
+        U, _ = ridge_tree_reduction(cx, cx.dim)
+        L = reduced_laplacian(cx, cx.dim, U)
+        assert definite_det(L) == row_swap_det(L) > 0
+
+
+def test_pi_on_the_memoised_reduction_matches_the_coboundary_route():
+    # pi reads P and Q off bd_k's own column reduction; the coboundary's
+    # reduction, a fresh reduction of bd_k and the memoised one agree
+    complexes = [*enumerate_shifted_complexes(6, 2), *random_apc_2_complexes(60),
+                 rp2_six_vertices(), bipyramid(), simplex_skeleton(8, 3)]
+    non_unimodular = 0
+    for cx in complexes:
+        for k in range(cx.dim + 1):
+            bd = cx.boundary_matrix(k)
+            coboundary = gram_pseudodeterminant(transpose(bd.supports, bd.n_rows), bd.n_cols)
+            assert pi(cx, k) == gram_pseudodeterminant(bd.supports, bd.n_rows) == coboundary
+            non_unimodular += not boundary_reduction(cx, k).unimodular
+    assert non_unimodular > 0
+
+
 def test_ridge_tree_torsion_is_the_certificates():
     # t_u of the correction is the is_sst certificate's torsion order, which
     # equals |H~_{k-2}| of the complex built from U over the (k-2)-skeleton
@@ -424,13 +453,12 @@ def test_counts_build_no_complex_and_eliminate_each_boundary_once(monkeypatch):
 
     monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
     monkeypatch.setattr(exactlinalg.ColumnReduction, "__init__", counting_reduce)
-    # each count eliminates bd_0..bd_k once, for their ranks and Smith forms;
-    # besides them, the reduced Laplacian route eliminates bd_{k-1} at U
-    # (is_sst's rank and torsion), and the alternating product one Laplacian
-    # per pi_j
+    # each count eliminates bd_0..bd_k once, for their ranks, Smith forms and
+    # pi_j; besides them, the reduced Laplacian route eliminates bd_{k-1} at U
+    # (is_sst's rank and torsion)
     counts = [(3, lambda cx: tau_via_reduced_laplacian(cx, 3), 5),
               (2, lambda cx: tau_via_reduced_laplacian(cx, 2), 4),
-              (3, tau_via_alternating_product, 8)]
+              (3, tau_via_alternating_product, 4)]
     for k, count, eliminations in counts:
         cx = simplex_skeleton(7, 3)
         built.clear()
