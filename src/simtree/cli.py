@@ -125,38 +125,31 @@ def _load_spectra(path) -> dict:
             for i, entries in raw.items()}
 
 
-def _cmd_hear(args) -> str:
-    if not args.spectrum_file:
-        raise InputError("hear needs --spectrum-file")
-    cx = hear_shape(_load_spectra(args.spectrum_file))
-    return _dump({"facets": [list(F) for F in cx.facets() if F]})
+def _cmd_shifted(args) -> str:
+    if args.action == "hear":
+        if not args.spectrum_file:
+            raise InputError("hear needs --spectrum-file")
+        cx = hear_shape(_load_spectra(args.spectrum_file))
+        return _dump({"facets": [list(F) for F in cx.facets() if F]})
 
-
-def _cmd_shifted_tau(args) -> str:
     cx = _load_any_complex(args)
-    poly = shifted_tau_coarse(cx) if args.coarse else shifted_tau_fine(cx)
-    return _poly_output(poly, args.json)
-
-
-def _cmd_critical_pairs(args) -> str:
-    cx = _load_any_complex(args)
+    if args.action == "tau":
+        poly = shifted_tau_coarse(cx) if args.coarse else shifted_tau_fine(cx)
+        return _poly_output(poly, args.json)
     i = args.dim if args.dim is not None else cx.dim
-    cps = critical_pairs(cx.faces_of_dim(i), cx.min_vertex)
-    rows = [{"A": list(cp.A), "B": list(cp.B),
-             "signature": list(cp.signature),
-             "S": list(cp.long_signature[0]), "T": list(cp.long_signature[1])}
-            for cp in cps]
-    if args.json:
-        return _dump({"dim": i, "pairs": rows})
-    return "\n".join(
-        f"({face_label(cp.A)}, {face_label(cp.B)})  signature {face_label(cp.signature)}"
-        f"  z({face_label(cp.long_signature[0]) if cp.long_signature[0] else ''},"
-        f"{face_label(cp.long_signature[1])})" for cp in cps) or "(no critical pairs)"
-
-
-def _cmd_spectrum(args) -> str:
-    cx = _load_any_complex(args)
-    i = args.dim if args.dim is not None else cx.dim
+    if args.action == "critical-pairs":
+        cps = critical_pairs(cx.faces_of_dim(i), cx.min_vertex)
+        rows = [{"A": list(cp.A), "B": list(cp.B),
+                 "signature": list(cp.signature),
+                 "S": list(cp.long_signature[0]), "T": list(cp.long_signature[1])}
+                for cp in cps]
+        if args.json:
+            return _dump({"dim": i, "pairs": rows})
+        return "\n".join(
+            f"({face_label(cp.A)}, {face_label(cp.B)})  signature {face_label(cp.signature)}"
+            f"  z({face_label(cp.long_signature[0]) if cp.long_signature[0] else ''},"
+            f"{face_label(cp.long_signature[1])})" for cp in cps) or "(no critical pairs)"
+    # spectrum
     spec = shifted_spectrum(cx, i)
     if args.coarse:
         parts = spec.coarse_parts()
@@ -227,31 +220,28 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_weighted)
 
+    p = sub.add_parser("shifted", help="shifted-complex spectral operations")
+    p.set_defaults(func=_cmd_shifted)
     # one parser per action, so that each refuses the options of the others
-    actions = sub.add_parser("shifted", help="shifted-complex spectral operations") \
-        .add_subparsers(dest="action", required=True)
+    actions = p.add_subparsers(dest="action", required=True)
     p = actions.add_parser("spectrum", help="eigenvalues as z-polynomials or coarse parts")
     add_complex_args(p)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--coarse", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_spectrum)
 
     p = actions.add_parser("tau", help="closed-form fine or coarse enumerator")
     add_complex_args(p)
     p.add_argument("--coarse", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_shifted_tau)
 
     p = actions.add_parser("critical-pairs", help="critical pairs and their signatures")
     add_complex_args(p)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_critical_pairs)
 
     p = actions.add_parser("hear", help="reconstruct a shifted complex from its spectra")
     p.add_argument("--spectrum-file", help="spectra JSON, as 'spectrum --json' writes it")
-    p.set_defaults(func=_cmd_hear)
 
     p = sub.add_parser("threshold", help="threshold-graph enumerator from a degree sequence")
     p.add_argument("--degrees", required=True)
