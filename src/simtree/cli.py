@@ -119,9 +119,7 @@ def _load_spectra(path) -> dict:
             for i, entries in raw.items())):
         raise InputError(f"{path}: \"spectra\" must map each dimension, 0 to 14, to a list "
                          "of {\"S\": integer list, \"T\": nonempty integer list}")
-    dim = max(map(int, raw), default=0)
-    return {int(i): [ZPolynomial(S=tuple(e["S"]), T=tuple(e["T"]),
-                                 shift=dim - int(i), cutoff=dim) for e in entries]
+    return {int(i): [ZPolynomial(S=tuple(e["S"]), T=tuple(e["T"])) for e in entries]
             for i, entries in raw.items()}
 
 

@@ -6,10 +6,12 @@ Variable families:
   ('e', F)     facet variable x{F}    (one per facet F, facet-generic weighting)
 
 A polynomial maps monomial keys, sorted tuples of (variable, nonzero
-exponent) pairs built once, to nonzero Python ints; the ring operations
-combine keys without re-sorting them. The constructor sums the exponents of a
-variable named twice in a key, and stores a Fraction as an int when integral.
-evaluate returns an exact Fraction.
+exponent) pairs built once, to nonzero coefficients; the ring operations
+combine keys without re-sorting them. _exact, run at every exit that builds
+coefficients (the constructor, poly_sum and so + and -, scalar *, product,
+product_sum, weighted.symbolic_det), stores an integral one as an int. _merge,
+the one key merge, sums a variable's exponents and drops zeros for the
+constructor, key_quotient and coarse_collapse. evaluate returns a Fraction.
 
 A chain of products runs in one packed layout (_packing): each key becomes one
 int with a fixed-width field per variable, the bounds are the factors'
@@ -54,6 +56,15 @@ def _exact(c):
         if c.denominator == 1:
             return c.numerator
     return c
+
+
+def _merge(pairs) -> tuple:
+    """The canonical key of (variable, exponent) pairs: a variable's exponents
+    summed, zeros dropped, sorted."""
+    exps = {}
+    for vid, e in pairs:
+        exps[vid] = exps.get(vid, 0) + e
+    return tuple(sorted((vid, e) for vid, e in exps.items() if e))
 
 
 def _poly(terms: dict, kind) -> "LaurentPoly":
@@ -147,7 +158,7 @@ def product(factors) -> "LaurentPoly":
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
         acc = {k: c for k, c in out.items() if c}
-    return _poly({unpack(k): c for k, c in acc.items()}, kind)
+    return _poly({unpack(k): _exact(c) for k, c in acc.items()}, kind)
 
 
 def product_sum(factors: list, rows) -> "LaurentPoly":
@@ -168,22 +179,16 @@ def product_sum(factors: list, rows) -> "LaurentPoly":
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial: {canonical key: nonzero int}."""
+    """Immutable sparse Laurent polynomial: {canonical key: nonzero coefficient}."""
 
     __slots__ = ("terms", "kind")
 
     def __init__(self, terms=None):
         norm = {}
         for key, coeff in (terms or {}).items():
-            coeff = _exact(coeff)
-            if coeff == 0:
-                continue
-            exps = {}
-            for vid, e in key:
-                exps[vid] = exps.get(vid, 0) + e
-            key = tuple(sorted((vid, e) for vid, e in exps.items() if e))
-            norm[key] = norm.get(key, 0) + coeff
-        self.terms = {k: _exact(c) for k, c in norm.items() if c != 0}
+            key = _merge(key)
+            norm[key] = norm.get(key, 0) + _exact(coeff)
+        self.terms = {k: _exact(c) for k, c in norm.items() if c}
         kinds = {vid[0] for key in self.terms for vid, _ in key}
         if len(kinds) > 1:
             raise InputError("polynomial mixes variable kinds")
@@ -239,18 +244,7 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        kind = _join_kinds(self.kind, other.kind)
-        small, big = sorted((self.terms, other.terms), key=len)
-        out = dict(big)
-        for key, c in small.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _poly(out, kind)
+        return poly_sum([self, other])
 
     __radd__ = __add__
 
@@ -258,19 +252,15 @@ class LaurentPoly:
         return _poly({k: -c for k, c in self.terms.items()}, self.kind)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        return self + (-other)
+        return poly_sum([self, -other])
 
     def __rsub__(self, other):
-        return LaurentPoly.constant(other) - self
+        return poly_sum([other, -self])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _poly({k: c * other for k, c in self.terms.items()} if other else {},
+        if isinstance(other, (int, Fraction)):
+            return _poly({k: _exact(c * other) for k, c in self.terms.items()} if other else {},
                          self.kind)
-        if isinstance(other, Fraction):
-            return LaurentPoly({k: c * other for k, c in self.terms.items()})
         return product([self, other])
 
     __rmul__ = __mul__
@@ -358,14 +348,8 @@ class LaurentPoly:
             return self
         if self.kind != FINE:
             raise InputError("coarse collapse applies to fine polynomials")
-        out = {}
-        for key, c in self.terms.items():
-            merged = {}
-            for (_, _, j), e in key:
-                merged[(COARSE, j)] = merged.get((COARSE, j), 0) + e
-            rk = tuple(sorted((v, e) for v, e in merged.items() if e != 0))
-            out[rk] = out.get(rk, 0) + c
-        return _poly({k: c for k, c in out.items() if c}, COARSE)
+        return poly_sum(_poly({_merge(((COARSE, j), e) for (_, _, j), e in key): c}, COARSE)
+                        for key, c in self.terms.items())
 
 
 def _quotient(c, d):
@@ -433,11 +417,7 @@ def fine_face_key(F, a: int, e: int) -> tuple:
 
 def key_quotient(num: tuple, *dens: tuple) -> tuple:
     """The monomial key of num / prod(dens): exponents subtracted, zeros dropped."""
-    exps = dict(num)
-    for den in dens:
-        for vid, e in den:
-            exps[vid] = exps.get(vid, 0) - e
-    return tuple(sorted((vid, e) for vid, e in exps.items() if e))
+    return _merge([*num, *((vid, -e) for den in dens for vid, e in den)])
 
 
 # -- rendering / interchange -------------------------------------------------

@@ -23,7 +23,7 @@ from math import prod
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import bareiss_det
-from .laurent import LaurentPoly, _packing, _poly, monomial_for_face, product_sum
+from .laurent import LaurentPoly, _exact, _packing, _poly, monomial_for_face, product_sum
 from .trees import LaplacianFactors, enumerate_ssts, kept_rows, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")  # the weightings of laurent.monomial_for_face
@@ -113,7 +113,7 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
             del acc[k]
         return acc
 
-    return _poly({unpack(k + zero): c for k, c in minor((1 << n) - 1, 0).items()}, kind)
+    return _poly({unpack(k + zero): _exact(c) for k, c in minor((1 << n) - 1, 0).items()}, kind)
 
 
 def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None) -> LaurentPoly:

@@ -8,7 +8,9 @@ spectrum file (_spectrum_text). The files are written at fixed paths in the
 temporary directory, so that messages naming them agree between checkouts,
 and the argv runs through simtree.cli.main with stdout and stderr captured.
 The script prints the number of calls per exit code and one SHA-256 over
-every (argv, exit code, stdout, stderr).
+every (argv, exit code, stdout, stderr) on its first line, then one line per
+command (a shifted call's command is "shifted" and its action) with the calls
+per exit code, so that a strategy that stops reaching a success path shows.
 
 The draws depend only on N, the strategies and the installed hypothesis, so
 two runs on one checkout print the same line, and so do two checkouts whose
@@ -44,6 +46,7 @@ def replay(n: int, src: Path, dump: Path | None = None) -> str:
     directory.mkdir(exist_ok=True)
     files = {"COMPLEX": directory / "complex.json", "SPECTRA": directory / "spectra.json"}
     codes = Counter()
+    per_command = {}
     digest = hashlib.sha256()
     calls = []
 
@@ -59,6 +62,8 @@ def replay(n: int, src: Path, dump: Path | None = None) -> str:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         codes[code] += 1
+        command = " ".join(argv[:2] if argv[0] == "shifted" else argv[:1])
+        per_command.setdefault(command, Counter())[code] += 1
         digest.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
         calls.append(json.dumps({"argv": argv, "code": code, "stdout": out.getvalue(),
                                  "stderr": err.getvalue()}, sort_keys=True))
@@ -66,8 +71,12 @@ def replay(n: int, src: Path, dump: Path | None = None) -> str:
     call()
     if dump is not None:
         dump.write_text("[\n" + ",\n".join(calls) + "\n]\n")
-    counts = ", ".join(f"exit {code}: {count}" for code, count in sorted(codes.items()))
-    return f"{sum(codes.values())} calls; {counts}; sha256 {digest.hexdigest()}"
+
+    def counts(c):
+        return ", ".join(f"exit {code}: {count}" for code, count in sorted(c.items()))
+
+    return "\n".join([f"{sum(codes.values())} calls; {counts(codes)}; sha256 {digest.hexdigest()}"]
+                     + [f"  {command}: {counts(c)}" for command, c in sorted(per_command.items())])
 
 
 if __name__ == "__main__":

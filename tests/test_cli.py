@@ -480,8 +480,13 @@ _OPTIONS = {
     "weighted": {**_COMPLEX_OPTIONS,
                  "--scheme": _value(st.sampled_from(["fine", "coarse", "facet", "x"])),
                  "--json": _FLAG},
-    "shifted": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text), "--coarse": _FLAG,
-                "--json": _FLAG, "--spectrum-file": st.just(["SPECTRA"])},
+    # each shifted action parses its own options; "x" is no action
+    "shifted spectrum": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text), "--coarse": _FLAG,
+                         "--json": _FLAG},
+    "shifted tau": {**_COMPLEX_OPTIONS, "--coarse": _FLAG, "--json": _FLAG},
+    "shifted critical-pairs": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text), "--json": _FLAG},
+    "shifted hear": {"--spectrum-file": st.just(["SPECTRA"])},
+    "shifted x": _COMPLEX_OPTIONS,
     "threshold": {"--degrees": _value(_csv), "--json": _FLAG},
     "ferrers": {"--partition": _value(_csv), "--json": _FLAG},
 }
@@ -491,10 +496,15 @@ _REQUIRED = {
     "homology": [("--complex", "--generators"), "--dim"],
     "count": [("--complex", "--generators")],
     "weighted": [("--complex", "--generators"), "--scheme"],
-    "shifted": [("--complex", "--generators", "--spectrum-file")],
+    "shifted spectrum": [("--complex", "--generators")],
+    "shifted tau": [("--complex", "--generators")],
+    "shifted critical-pairs": [("--complex", "--generators")],
+    "shifted hear": ["--spectrum-file"],
+    "shifted x": [],
     "threshold": ["--degrees"],
     "ferrers": ["--partition"],
 }
+_COMMANDS = ["count", "ferrers", "homology", "shifted", "threshold", "weighted"]
 _ACTIONS = ["spectrum", "tau", "critical-pairs", "hear", "x"]
 # Calls just past a budget, so that the draws reach its refusal: K_9's
 # oracle (comb(36, 8) candidate subsets), the 15 x 15 symbolic determinant of
@@ -520,10 +530,10 @@ def _argv(draw):
     if draw(st.integers(0, 29)) == 0:
         return list(draw(st.sampled_from(_PAST_BUDGETS + _DOMAIN_REFUSALS
                                          + _SHIFTED_OPTIONS_OF_OTHER_ACTIONS)))
-    command = draw(st.sampled_from(sorted(_OPTIONS)))
-    argv = [command]
+    command = draw(st.sampled_from(_COMMANDS))
     if command == "shifted":
-        argv.append(draw(st.sampled_from(_ACTIONS)))
+        command += " " + draw(st.sampled_from(_ACTIONS))
+    argv = command.split()
     options = _OPTIONS[command]
     names = [draw(st.sampled_from(name)) if isinstance(name, tuple) else name
              for name in _REQUIRED[command]]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import constant_value, x_coarse
 
 from simtree.errors import ExactnessError, InputError, ResourceLimitError
+from simtree.weighted import SymbolicMatrix, symbolic_det
 from simtree import laurent
 from simtree.laurent import (
     FINE,
@@ -211,11 +212,13 @@ def test_ring_axioms(a, b, c):
 
 
 def test_poly_sum_matches_repeated_add():
-    terms = [X_coarse(1), 2 * X_coarse(2), X_coarse(1) * X_coarse(2), 5]
-    acc = LaurentPoly.zero()
+    # + runs on poly_sum, so the repeated sum runs in the Fraction reference
+    terms = [X_coarse(1), 2 * X_coarse(2), X_coarse(1) * X_coarse(2), 5,
+             Fraction(1, 2) * X_coarse(1), Fraction(-1, 2)]
+    acc = FractionLaurentPoly()
     for t in terms:
-        acc = acc + t
-    assert poly_sum(terms) == acc
+        acc = acc + FractionLaurentPoly(t.terms if isinstance(t, LaurentPoly) else {(): t})
+    _same(poly_sum(terms), acc)
 
 
 def test_product_sum_matches_products():
@@ -347,6 +350,65 @@ def test_engine_results_keep_int_coefficients():
               a.coarse_collapse(), poly_sum([a, b, 2])):
         assert all(type(c) is int for c in p.terms.values())
     assert type(a.all_ones()) is int
+
+
+# -- every exit that builds coefficients stores an integral one as an int ----
+
+_ratios = st.sampled_from([1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                           Fraction(-3, 2), Fraction(1, 3), Fraction(2, 3)])
+_units = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3)])  # divide every coefficient
+
+
+def _ratio_polys(keys):
+    """Polynomials on a few monomials with coefficients that often sum or
+    multiply to an integer: 1/2 + 1/2, 2 * 1/2, 3/2 * 2/3."""
+    return st.dictionaries(st.sampled_from(keys), _ratios, max_size=3).map(LaurentPoly)
+
+
+_C = [("c", 1), ("c", 2)]
+_polys = _ratio_polys([(), ((_C[0], 1),), ((_C[1], 1),), ((_C[0], 1), (_C[1], -1))])
+# x[1,j] and x[2,j] both collapse to x[j]
+_fine_polys = _ratio_polys([((("f", i, j), 1),) for i in (1, 2) for j in (1, 2)])
+
+
+def _det(draw):
+    n = draw(st.integers(1, 4))
+    rows = tuple(range(n))
+    return symbolic_det(SymbolicMatrix(rows, rows, tuple(
+        tuple(draw(_polys) for _ in rows) for _ in rows)))
+
+
+def _product_sum(draw):
+    factors = [LaurentPoly.monomial(draw(st.dictionaries(st.sampled_from(_C),
+                                                         st.integers(-1, 1))))
+               for _ in range(3)]
+    rows = st.tuples(st.lists(st.integers(0, 2), max_size=3), _ratios)
+    return product_sum(factors, draw(st.lists(rows, max_size=4)))
+
+
+_EXITS = {
+    "a + b": lambda draw: draw(_polys) + draw(_polys),
+    "a - b": lambda draw: draw(_polys) - draw(_polys),
+    "3 - a": lambda draw: 3 - draw(_polys),
+    "a * b": lambda draw: draw(_polys) * draw(_polys),
+    "a * int": lambda draw: draw(_polys) * draw(st.integers(-3, 3)),
+    "a * Fraction": lambda draw: draw(_polys) * draw(_ratios.map(Fraction)),
+    "product": lambda draw: product(draw(st.lists(_polys, max_size=3))),
+    "poly_sum": lambda draw: poly_sum(draw(st.lists(_polys | _ratios, max_size=4))),
+    "product_sum": _product_sum,
+    "div_exact": lambda draw: draw(_polys).div_exact(LaurentPoly.monomial(
+        draw(st.dictionaries(st.sampled_from(_C), st.integers(-1, 1))), draw(_units))),
+    "coarse_collapse": lambda draw: draw(_fine_polys).coarse_collapse(),
+    "symbolic_det": _det,
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_EXITS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_exit_stores_integral_coefficients_as_ints(operation, data):
+    result = _EXITS[operation](data.draw)
+    assert all(type(c) is int or c.denominator != 1 for c in result.terms.values())
 
 
 @settings(max_examples=80, deadline=None)
