@@ -14,10 +14,17 @@ the one key merge, sums a variable's exponents and drops zeros for the
 constructor, key_quotient and coarse_collapse. evaluate returns a Fraction.
 
 A chain of products runs in one packed layout (_packing): each key becomes one
-int with a fixed-width field per variable, the bounds are the factors'
-exponent ranges summed, each factor is packed once, and only the result is
-unpacked. product, and through it * and div_exact, is one such chain;
-weighted.symbolic_det is another.
+int, the bounds are the factors' exponent ranges summed, each factor is
+packed once, and only the result is unpacked. The layout is graded: the
+total degree on top, then a fixed-width field per variable from the first
+to the last, so packed ints compare as canonical_string orders monomials.
+product, and through it * and div_exact, is one such chain;
+weighted.symbolic_det is another, and product_sum a sum of such keys. These
+three packed exits sort their ints once and store their terms in render
+order (_from_packed), which negation and scalar * keep, so canonical_string
+prints them as stored; it sorts every other polynomial. The ring operations
+return NotImplemented for an operand that is not a LaurentPoly, an int or a
+Fraction.
 
 Exponents are stored in x-units: the squared variable X = x^2 is exponent 2.
 A polynomial whose exponents are all even renders and serializes in X-form
@@ -73,6 +80,16 @@ def _poly(terms: dict, kind) -> "LaurentPoly":
     p = object.__new__(LaurentPoly)
     p.terms = terms
     p.kind = kind if kind is not None and any(terms) else None
+    p._ordered = False
+    return p
+
+
+def _from_packed(acc: dict, unpack, kind) -> "LaurentPoly":
+    """The polynomial of packed keys and their coefficients, zeros dropped.
+    The packed ints are sorted once, descending, and unpacked in that order,
+    so the terms are stored in canonical_string's order and marked so."""
+    p = _poly({unpack(k): _exact(acc[k]) for k in sorted(acc, reverse=True) if acc[k]}, kind)
+    p._ordered = True
     return p
 
 
@@ -105,10 +122,14 @@ def _packing(groups):
     """(kind, pack, unpack, zero) for sums of packed keys that take one key
     from each group of polynomials. The bounds are the groups' exponent
     ranges summed; each range counts 0, so every partial sum fits as well.
-    Field i of a packed int, one to eight bytes wide, holds the exponent of
-    the i-th variable in key order minus its lowest, so adding packed keys
-    adds exponent vectors and unpacking yields a sorted key. pack leaves the
-    lowest exponents out: add zero, the packed zero vector, once per sum."""
+    From its most significant end, a packed int holds the total degree, then
+    one field per variable in key order: the exponent minus its lowest (the
+    degree minus the lowests' sum). A variable's field is one to eight bytes
+    wide; the degree field takes the bytes its own range needs. So adding
+    packed keys adds exponent vectors, packed results compare as
+    canonical_string's graded-lex order does, and unpacking yields a sorted
+    key. pack leaves the lowest exponents out: add zero, the packed zero
+    vector, once per sum."""
     kind = None
     bounds = {}
     for group in groups:
@@ -118,22 +139,24 @@ def _packing(groups):
             la, ha = bounds.get(vid, (0, 0))
             bounds[vid] = (la + lo, ha + hi)
     vids = sorted(bounds)
-    bits = max((hi - lo for lo, hi in bounds.values()), default=0).bit_length()
-    width = next((w for w in (1, 2, 4, 8) if bits <= 8 * w), None)
+    ranges = [hi - lo for lo, hi in bounds.values()]
+    width = next((w for w in (1, 2, 4, 8) if max(ranges, default=0).bit_length() <= 8 * w), None)
     if width is None:
         raise ResourceLimitError("exponent range exceeds 64 bits")
-    shift = {vid: 8 * width * i for i, vid in enumerate(vids)}
-    fields = Struct(f"<{len(vids)}{'BHIQ'[width.bit_length() - 1]}").unpack
+    degree = 1 << 8 * width * len(vids)
+    weight = {vid: degree + (1 << 8 * width * i) for i, vid in enumerate(reversed(vids))}
+    pad = (sum(ranges).bit_length() + 7) // 8
+    fields = Struct(f">{pad}x{len(vids)}{'BHIQ'[width.bit_length() - 1]}").unpack
     tables = [_Pairs(vid, bounds[vid][0]) for vid in vids]
-    nbytes = width * len(vids)
+    nbytes = pad + width * len(vids)
 
     def pack(key) -> int:
-        return sum(e << shift[vid] for vid, e in key)
+        return sum([e * weight[vid] for vid, e in key])
 
     def unpack(x: int) -> tuple:
-        return tuple(filter(None, map(getitem, tables, fields(x.to_bytes(nbytes, "little")))))
+        return tuple(filter(None, map(getitem, tables, fields(x.to_bytes(nbytes, "big")))))
 
-    return kind, pack, unpack, sum(-bounds[vid][0] << s for vid, s in shift.items())
+    return kind, pack, unpack, -sum(lo * weight[vid] for vid, (lo, _) in bounds.items())
 
 
 def product(factors) -> "LaurentPoly":
@@ -158,7 +181,7 @@ def product(factors) -> "LaurentPoly":
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
         acc = {k: c for k, c in out.items() if c}
-    return _poly({unpack(k): _exact(c) for k, c in acc.items()}, kind)
+    return _from_packed(acc, unpack, kind)
 
 
 def product_sum(factors: list, rows) -> "LaurentPoly":
@@ -175,13 +198,13 @@ def product_sum(factors: list, rows) -> "LaurentPoly":
     for idx, c in rows:
         k = zero + sum([packed[i] for i in idx])
         out[k] = out.get(k, 0) + c
-    return _poly({unpack(k): _exact(c) for k, c in out.items() if c}, kind)
+    return _from_packed(out, unpack, kind)
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial: {canonical key: nonzero coefficient}."""
 
-    __slots__ = ("terms", "kind")
+    __slots__ = ("terms", "kind", "_ordered")  # _ordered: terms in canonical_string's order
 
     def __init__(self, terms=None):
         norm = {}
@@ -193,6 +216,7 @@ class LaurentPoly:
         if len(kinds) > 1:
             raise InputError("polynomial mixes variable kinds")
         self.kind = kinds.pop() if kinds else None
+        self._ordered = False
 
     # -- constructors ----------------------------------------------------
 
@@ -244,24 +268,36 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return poly_sum([self, other])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly({k: -c for k, c in self.terms.items()}, self.kind)
+        p = _poly({k: -c for k, c in self.terms.items()}, self.kind)
+        p._ordered = self._ordered
+        return p
 
     def __sub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return poly_sum([self, -other])
 
     def __rsub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return poly_sum([other, -self])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _poly({k: _exact(c * other) for k, c in self.terms.items()} if other else {},
-                         self.kind)
-        return product([self, other])
+        if isinstance(other, LaurentPoly):
+            return product([self, other])
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p = _poly({k: _exact(c * other) for k, c in self.terms.items()} if other else {},
+                  self.kind)
+        p._ordered = self._ordered
+        return p
 
     __rmul__ = __mul__
 
@@ -271,6 +307,8 @@ class LaurentPoly:
         with more than one term, raises ExactnessError."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
+        if not isinstance(other, LaurentPoly):
+            raise TypeError(f"cannot divide a LaurentPoly by {type(other).__name__}")
         if other.is_zero():
             raise ExactnessError("division by the zero polynomial")
         if len(other.terms) != 1:
@@ -350,6 +388,9 @@ class LaurentPoly:
             raise InputError("coarse collapse applies to fine polynomials")
         return poly_sum(_poly({_merge(((COARSE, j), e) for (_, _, j), e in key): c}, COARSE)
                         for key, c in self.terms.items())
+
+
+_OPERANDS = (LaurentPoly, int, Fraction)
 
 
 def _quotient(c, d):
@@ -437,25 +478,27 @@ def _var_text(vid, exp: int, x_form: bool) -> str:
 
 
 def canonical_string(p: LaurentPoly) -> str:
-    """Deterministic rendering: graded-lex term order, X-form when exponents allow."""
+    """Deterministic rendering: graded-lex term order, X-form when exponents
+    allow. The result of a packed exit (_from_packed) is already in that
+    order and renders as stored; any other polynomial is sorted here."""
     if p.is_zero():
         return "0"
     pairs = set().union(*p.terms)
     x_form = any(e % 2 for _, e in pairs)
     texts = {pair: _var_text(*pair, x_form) for pair in pairs}
-    # Graded-lex rank of a key as one int: base-2^w digits, total degree first,
-    # then one digit per variable in key order. Digits are signed but below
-    # 2^(w-1) in size, so comparing ints compares digit vectors.
-    vids = sorted({vid for vid, _ in pairs})
-    w = 2 + (max(map(len, p.terms)) * max((abs(e) for _, e in pairs), default=0)).bit_length()
-    top = 1 << (w * len(vids))
-    weight = {vid: top + (1 << (w * (len(vids) - 1 - i))) for i, vid in enumerate(vids)}
-
-    def rank(key):
-        return sum([e * weight[vid] for vid, e in key])
-
+    keys = p.terms
+    if not p._ordered:
+        # Graded-lex rank of a key as one int: base-2^w digits, total degree
+        # first, then one digit per variable in key order. Digits are signed
+        # but below 2^(w-1) in size, so comparing ints compares digit vectors.
+        vids = sorted({vid for vid, _ in pairs})
+        w = 2 + (max(map(len, p.terms)) * max((abs(e) for _, e in pairs), default=0)).bit_length()
+        top = 1 << (w * len(vids))
+        weight = {vid: top + (1 << (w * (len(vids) - 1 - i))) for i, vid in enumerate(vids)}
+        keys = sorted(p.terms, key=lambda key: sum([e * weight[vid] for vid, e in key]),
+                      reverse=True)
     pieces = []
-    for key in sorted(p.terms, key=rank, reverse=True):
+    for key in keys:
         coeff = p.terms[key]
         mono = " * ".join(map(texts.__getitem__, key))
         mag = abs(coeff)

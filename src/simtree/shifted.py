@@ -96,13 +96,9 @@ def lsg_direct(family, initial_vertex: int | None = None) -> list:
     return sorted(cp.long_signature for cp in critical_pairs(family, initial_vertex))
 
 
-def _long_signatures(cx: SimplicialComplex, i: int) -> list:
-    """lsg_direct of the i-faces of a complex known to be shifted, whose
-    family is not checked again."""
-    fam = cx.faces_of_dim(i)
-    if not fam:
-        return []
-    p = cx.min_vertex
+def _long_signatures(fam, p: int) -> list:
+    """lsg_direct of a family known to be shifted with initial vertex p,
+    which is not checked again."""
     return sorted((A[:idx], tuple(range(p, A[idx] + 1)))
                   for A, idx in _critical_pairs(fam, set(fam)))
 
@@ -218,7 +214,7 @@ def shifted_spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
 def _spectrum(cx: SimplicialComplex, i: int) -> SpectrumMultiset:
     d = cx.dim
     zs = tuple(ZPolynomial(S=S, T=T, shift=d - i, cutoff=d)
-               for S, T in _long_signatures(cx, i))
+               for S, T in _long_signatures(cx.faces_of_dim(i), cx.min_vertex))
     zero_mult = cx.f(i - 1) - len(zs)
     _require(zero_mult >= 0, "more nonzero eigenvalues than (i-1)-faces")
     return SpectrumMultiset(zpolys=zs, zero_multiplicity=zero_mult)
@@ -269,7 +265,7 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
     # the closure of componentwise order ideals is shifted
     cx = SimplicialComplex.closure(shifted_ideal_faces(sigs, p))
     for i, pairs in pairs_by_dim.items():
-        if _long_signatures(cx, i) != pairs:
+        if _long_signatures(cx.faces_of_dim(i), cx.min_vertex) != pairs:
             raise DomainError(f"spectra do not arise from a shifted complex (dim {i})")
     return cx
 
@@ -280,19 +276,21 @@ def hear_shape(spectra: dict) -> SimplicialComplex:
 def shifted_tau_fine(cx: SimplicialComplex) -> LaurentPoly:
     """The finely weighted spanning-tree enumerator of a shifted complex:
     (prod over link ridges F of X_{F u p}) * prod over long signatures (S,T)
-    of del_p's facets of (sum_{j in T u p} X_{S u j}) / X_{S u p}."""
+    of del_p's facets of (sum_{j in T u p} X_{S u j}) / X_{S u p}. The
+    d-faces through p are the link ridges with p added; the others, del_p's
+    facets, are shifted with initial vertex p + 1."""
     _check_shifted(cx)
     if not cx.vertices:
         raise InputError("enumerator needs at least one vertex")
     p = cx.min_vertex
-    d = cx.dim
-    sigs = _long_signatures(cx.deletion(p), d)  # a deletion of a shifted complex is shifted
-    result = product([monomial_for_face(F + (p,)) for F in cx.link(p).faces_of_dim(d - 1)]
+    facets = cx.faces_of_dim(cx.dim)
+    sigs = _long_signatures([F for F in facets if F[0] != p], p + 1)
+    result = product([monomial_for_face(F) for F in facets if F[0] == p]
                      + [LaurentPoly({fine_face_key(S + (p,), 0, -2): 1}) for S, _ in sigs]
                      + [poly_sum(monomial_for_face(S + (j,)) for j in (p,) + T)
                         for S, T in sigs])
     _require(result.has_nonnegative_integer_coeffs()
-             and all(e >= 0 for key in result.terms for _, e in key),
+             and all(e >= 0 for _, e in set().union(*result.terms)),
              "fine enumerator must be a genuine polynomial")
     return result
 

@@ -23,7 +23,7 @@ from math import prod
 from .complexes import SimplicialComplex
 from .errors import InputError, ResourceLimitError, _require
 from .exactlinalg import bareiss_det
-from .laurent import LaurentPoly, _exact, _packing, _poly, monomial_for_face, product_sum
+from .laurent import LaurentPoly, _from_packed, _packing, monomial_for_face, product_sum
 from .trees import LaplacianFactors, enumerate_ssts, kept_rows, ridge_tree_reduction
 
 SCHEMES = ("fine", "coarse", "facet")  # the weightings of laurent.monomial_for_face
@@ -88,7 +88,7 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
     kind, pack, unpack, zero = _packing([row[j] for row in M.entries] for j in range(n))
     columns = [[(1 << i, [(pack(k), c) for k, c in row[j].terms.items()])
                 for i, row in enumerate(M.entries) if row[j]] for j in range(n)]
-    one = {0: 1}
+    one = {zero: 1}
     memo = {}
 
     def minor(mask, j):
@@ -113,7 +113,7 @@ def symbolic_det(M: SymbolicMatrix) -> LaurentPoly:
             del acc[k]
         return acc
 
-    return _poly({unpack(k + zero): _exact(c) for k, c in minor((1 << n) - 1, 0).items()}, kind)
+    return _from_packed(minor((1 << n) - 1, 0), unpack, kind)
 
 
 def weighted_tau(cx: SimplicialComplex, scheme: str, ridge_tree=None) -> LaurentPoly:

@@ -687,12 +687,9 @@ def _var_text_reference(vid, exp: int, x_form: bool) -> str:
     return f"{name}{body}" + (f"^{e}" if e != 1 else "")
 
 
-def canonical_string_reference(p) -> str:
-    """Graded-lex rendering with one exponent vector per term and one text
-    per variable occurrence."""
-    if not p.terms:
-        return "0"
-    x_form = not p.all_exponents_even()
+def graded_lex_keys(p) -> list:
+    """The keys of p in canonical_string's order: total degree, then the
+    exponent vector over p's sorted variables, both descending."""
     vars_all = p.variables()
     pos = {vid: idx for idx, vid in enumerate(vars_all)}
 
@@ -702,8 +699,17 @@ def canonical_string_reference(p) -> str:
             vec[pos[vid]] = e
         return (sum(vec), vec)
 
+    return sorted(p.terms, key=sort_key, reverse=True)
+
+
+def canonical_string_reference(p) -> str:
+    """Graded-lex rendering with one exponent vector per term and one text
+    per variable occurrence."""
+    if not p.terms:
+        return "0"
+    x_form = not p.all_exponents_even()
     pieces = []
-    for key in sorted(p.terms, key=sort_key, reverse=True):
+    for key in graded_lex_keys(p):
         coeff = p.terms[key]
         mono = " * ".join(_var_text_reference(vid, e, x_form) for vid, e in key)
         mag = abs(coeff)

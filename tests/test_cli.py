@@ -458,6 +458,21 @@ _spectrum_text = st.one_of(
 )
 _generators = st.lists(_csv, min_size=1, max_size=3).map(";".join)
 
+
+def _threshold_degree_text(steps) -> str:
+    """The degree sequence, largest first, of the threshold graph grown from
+    one vertex by adding a dominating (True) or an isolated (False) vertex per
+    step, and a dominating one last, so that no vertex is isolated."""
+    degrees = [0]
+    for dominating in [*steps, True]:
+        degrees = [d + 1 for d in degrees] + [len(degrees)] if dominating else degrees + [0]
+    return ",".join(map(str, sorted(degrees, reverse=True)))
+
+
+# three in four are threshold graphs on at most 6 vertices, the rest any list
+_degrees = st.integers(0, 3).flatmap(
+    lambda i: _csv if i == 0 else st.lists(st.booleans(), max_size=4).map(_threshold_degree_text))
+
 # Options per subcommand, each with a strategy for its value tokens.
 # "COMPLEX" and "SPECTRA" stand for the files written for the example.
 
@@ -487,7 +502,7 @@ _OPTIONS = {
     "shifted critical-pairs": {**_COMPLEX_OPTIONS, "--dim": _value(_int_text), "--json": _FLAG},
     "shifted hear": {"--spectrum-file": st.just(["SPECTRA"])},
     "shifted x": _COMPLEX_OPTIONS,
-    "threshold": {"--degrees": _value(_csv), "--json": _FLAG},
+    "threshold": {"--degrees": _value(_degrees), "--json": _FLAG},
     "ferrers": {"--partition": _value(_csv), "--json": _FLAG},
 }
 # Options drawn for every example of a subcommand, so that most examples get

@@ -25,6 +25,7 @@ from simtree.laurent import (
 from reference_kernels import (
     FractionLaurentPoly,
     canonical_string_reference,
+    graded_lex_keys,
     poly_div_exact,
     poly_pow,
     poly_to_json_dict_reference,
@@ -286,14 +287,14 @@ _coeffs = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
 
 
 @st.composite
-def laurent_terms(draw, kind=None):
+def laurent_terms(draw, kind=None, max_terms=5):
     """A raw terms dict: keys unsorted, with zero exponents, possibly
     colliding after normalisation; one variable kind, or rarely several."""
     kind = kind or draw(st.sampled_from("ffcce") | st.just("mixed"))
     pool = sum(_POOL.values(), []) if kind == "mixed" else _POOL[kind]
     keys = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=4).map(
         lambda exps: tuple(exps.items()))
-    return draw(st.dictionaries(keys, _coeffs, max_size=5))
+    return draw(st.dictionaries(keys, _coeffs, max_size=max_terms))
 
 
 def _run(cls, ta, tb):
@@ -464,3 +465,51 @@ def test_product_budget_counts_every_step(monkeypatch):
         product([a, b])
     with pytest.raises(ResourceLimitError, match="the product budget"):
         (a * a) * (b * b)
+
+
+# -- the packed exits store their terms in canonical_string's order --------
+
+
+def _packed_product(draw, kind):
+    return product([LaurentPoly(draw(laurent_terms(kind=kind)))
+                    for _ in range(draw(st.integers(1, 4)))])
+
+
+def _packed_product_sum(draw, kind):
+    exps = st.dictionaries(st.sampled_from(_POOL[kind]), st.integers(-3, 3), max_size=4)
+    factors = [LaurentPoly.monomial(draw(exps)) for _ in range(draw(st.integers(1, 4)))]
+    rows = st.tuples(st.lists(st.integers(0, len(factors) - 1), min_size=1, max_size=4),
+                     _coeffs)
+    return product_sum(factors, draw(st.lists(rows, max_size=8)))
+
+
+def _packed_det(draw, kind):
+    rows = tuple(range(draw(st.integers(1, 4))))
+    return symbolic_det(SymbolicMatrix(rows, rows, tuple(
+        tuple(LaurentPoly(draw(laurent_terms(kind=kind, max_terms=2))) for _ in rows)
+        for _ in rows)))
+
+
+@pytest.mark.parametrize("exit_", [_packed_product, _packed_product_sum, _packed_det],
+                         ids=["product", "product_sum", "symbolic_det"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_exits_store_terms_in_render_order(exit_, data):
+    # canonical_string renders these in stored order; any other order would
+    # print differently from the same terms in a fresh polynomial
+    kind = data.draw(st.sampled_from("fce"))
+    p = exit_(data.draw, kind)
+    scalar = data.draw(st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3))
+    for q in (p, -p, p * scalar, scalar * p):
+        assert list(q.terms) == graded_lex_keys(q)
+        assert canonical_string(q) == canonical_string(LaurentPoly(q.terms))
+
+
+@pytest.mark.parametrize("operand", [1.5, "a", None], ids=repr)
+@pytest.mark.parametrize("operation", [
+    lambda p, x: p + x, lambda p, x: x + p, lambda p, x: p - x, lambda p, x: x - p,
+    lambda p, x: p * x, lambda p, x: x * p, lambda p, x: p.div_exact(x),
+], ids=["p + x", "x + p", "p - x", "x - p", "p * x", "x * p", "p.div_exact(x)"])
+def test_foreign_operands_raise_type_error(operation, operand):
+    with pytest.raises(TypeError):
+        operation(X_coarse(1), operand)
