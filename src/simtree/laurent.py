@@ -85,10 +85,10 @@ def _poly(terms: dict, kind) -> "LaurentPoly":
 
 
 def _from_packed(acc: dict, unpack, kind) -> "LaurentPoly":
-    """The polynomial of packed keys and their coefficients, zeros dropped.
-    The packed ints are sorted once, descending, and unpacked in that order,
-    so the terms are stored in canonical_string's order and marked so."""
-    p = _poly({unpack(k): _exact(acc[k]) for k in sorted(acc, reverse=True) if acc[k]}, kind)
+    """The polynomial of packed keys and their nonzero coefficients. The
+    packed ints are sorted once, descending, and unpacked in that order, so
+    the terms are stored in canonical_string's order and marked so."""
+    p = _poly({unpack(k): _exact(acc[k]) for k in sorted(acc, reverse=True)}, kind)
     p._ordered = True
     return p
 
@@ -198,7 +198,7 @@ def product_sum(factors: list, rows) -> "LaurentPoly":
     for idx, c in rows:
         k = zero + sum([packed[i] for i in idx])
         out[k] = out.get(k, 0) + c
-    return _from_packed(out, unpack, kind)
+    return _from_packed({k: c for k, c in out.items() if c}, unpack, kind)
 
 
 class LaurentPoly:
@@ -268,7 +268,7 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, _OPERANDS):
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
         return poly_sum([self, other])
 
@@ -280,12 +280,12 @@ class LaurentPoly:
         return p
 
     def __sub__(self, other):
-        if not isinstance(other, _OPERANDS):
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
         return poly_sum([self, -other])
 
     def __rsub__(self, other):
-        if not isinstance(other, _OPERANDS):
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
         return poly_sum([other, -self])
 
@@ -390,9 +390,6 @@ class LaurentPoly:
                         for key, c in self.terms.items())
 
 
-_OPERANDS = (LaurentPoly, int, Fraction)
-
-
 def _quotient(c, d):
     """c / d exactly; an int quotient must leave no remainder."""
     if type(c) is int and type(d) is int:
@@ -485,8 +482,8 @@ def canonical_string(p: LaurentPoly) -> str:
         return "0"
     pairs = set().union(*p.terms)
     x_form = any(e % 2 for _, e in pairs)
-    texts = {pair: _var_text(*pair, x_form) for pair in pairs}
-    keys = p.terms
+    text = {pair: _var_text(*pair, x_form) for pair in pairs}.__getitem__
+    terms = p.terms.items()
     if not p._ordered:
         # Graded-lex rank of a key as one int: base-2^w digits, total degree
         # first, then one digit per variable in key order. Digits are signed
@@ -495,12 +492,11 @@ def canonical_string(p: LaurentPoly) -> str:
         w = 2 + (max(map(len, p.terms)) * max((abs(e) for _, e in pairs), default=0)).bit_length()
         top = 1 << (w * len(vids))
         weight = {vid: top + (1 << (w * (len(vids) - 1 - i))) for i, vid in enumerate(vids)}
-        keys = sorted(p.terms, key=lambda key: sum([e * weight[vid] for vid, e in key]),
-                      reverse=True)
+        terms = [(key, p.terms[key]) for key in sorted(
+            p.terms, key=lambda key: sum([e * weight[vid] for vid, e in key]), reverse=True)]
     pieces = []
-    for key in keys:
-        coeff = p.terms[key]
-        mono = " * ".join(map(texts.__getitem__, key))
+    for key, coeff in terms:
+        mono = " * ".join(map(text, key))
         mag = abs(coeff)
         if not mono:
             body = str(mag)
