@@ -469,7 +469,7 @@ def _threshold_degree_text(steps) -> str:
     return ",".join(map(str, sorted(degrees, reverse=True)))
 
 
-# three in four are threshold graphs on at most 6 vertices, the rest any list
+# mostly degree sequences of threshold graphs on at most 6 vertices, else any list
 _degrees = st.integers(0, 3).flatmap(
     lambda i: _csv if i == 0 else st.lists(st.booleans(), max_size=4).map(_threshold_degree_text))
 

@@ -287,14 +287,14 @@ _coeffs = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
 
 
 @st.composite
-def laurent_terms(draw, kind=None, max_terms=5):
+def laurent_terms(draw, kind=None):
     """A raw terms dict: keys unsorted, with zero exponents, possibly
     colliding after normalisation; one variable kind, or rarely several."""
     kind = kind or draw(st.sampled_from("ffcce") | st.just("mixed"))
     pool = sum(_POOL.values(), []) if kind == "mixed" else _POOL[kind]
     keys = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=4).map(
         lambda exps: tuple(exps.items()))
-    return draw(st.dictionaries(keys, _coeffs, max_size=max_terms))
+    return draw(st.dictionaries(keys, _coeffs, max_size=5))
 
 
 def _run(cls, ta, tb):
@@ -470,24 +470,38 @@ def test_product_budget_counts_every_step(monkeypatch):
 # -- the packed exits store their terms in canonical_string's order --------
 
 
+# one variable kind each, negative exponents and Fraction coefficients; built
+# once, as hypothesis validates a strategy on its first draw
+_EXPS = {kind: st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=4)
+         for kind, pool in _POOL.items()}
+
+
+def _polys_of_each_kind(max_terms):
+    return {kind: st.dictionaries(exps.map(lambda e: tuple(e.items())), _coeffs,
+                                  max_size=max_terms).map(LaurentPoly)
+            for kind, exps in _EXPS.items()}
+
+
+_FACTORS, _ENTRIES = _polys_of_each_kind(4), _polys_of_each_kind(2)
+
+
 def _packed_product(draw, kind):
-    return product([LaurentPoly(draw(laurent_terms(kind=kind)))
-                    for _ in range(draw(st.integers(1, 4)))])
+    return product(draw(st.lists(_FACTORS[kind], min_size=1, max_size=4)))
 
 
 def _packed_product_sum(draw, kind):
-    exps = st.dictionaries(st.sampled_from(_POOL[kind]), st.integers(-3, 3), max_size=4)
-    factors = [LaurentPoly.monomial(draw(exps)) for _ in range(draw(st.integers(1, 4)))]
+    factors = draw(st.lists(_EXPS[kind].map(LaurentPoly.monomial), min_size=1, max_size=4))
     rows = st.tuples(st.lists(st.integers(0, len(factors) - 1), min_size=1, max_size=4),
                      _coeffs)
     return product_sum(factors, draw(st.lists(rows, max_size=8)))
 
 
 def _packed_det(draw, kind):
-    rows = tuple(range(draw(st.integers(1, 4))))
+    n = draw(st.integers(1, 4))
+    rows = tuple(range(n))
+    entries = iter(draw(st.lists(_ENTRIES[kind], min_size=n * n, max_size=n * n)))
     return symbolic_det(SymbolicMatrix(rows, rows, tuple(
-        tuple(LaurentPoly(draw(laurent_terms(kind=kind, max_terms=2))) for _ in rows)
-        for _ in rows)))
+        tuple(next(entries) for _ in rows) for _ in rows)))
 
 
 @pytest.mark.parametrize("exit_", [_packed_product, _packed_product_sum, _packed_det],
